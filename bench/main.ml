@@ -622,6 +622,12 @@ let extra_multitenant () =
                       ( "teardown_leaks",
                         string_of_int p.Multitenant.teardown_leaks );
                       ("cycles", string_of_int p.Multitenant.cycles);
+                      ( "wallclock",
+                        Printf.sprintf "%.0f"
+                          (if p.Multitenant.host_secs > 0. then
+                             float_of_int p.Multitenant.cycles
+                             /. p.Multitenant.host_secs
+                           else 0.) );
                       ( "per_tenant_completed",
                         json_list
                           (List.map

@@ -12,10 +12,15 @@
     only and is not compared.
 
     Installed via {!enable}, the oracle fires from the hooks in
-    {!Machine}: a targeted O(1) check after every MMU access, and a
-    full audit after every flush/shootdown, at [Smp.activate], and at
-    nested-kernel gate exit.  With no oracle installed those hooks are
-    a single [match] — the oracle-off overhead is zero. *)
+    {!Machine}: a targeted O(1) check after every MMU access, and an
+    audit of every live entry after every flush/shootdown, at
+    [Smp.activate], and at nested-kernel gate exit.  That audit is
+    incremental but exact — it returns what {!check_machine} would,
+    re-walking only the entries a store (the {!Phys_mem} store log), a
+    fill (the {!Tlb} insert log), a root change or a still-open verdict
+    could have changed.  With no oracle installed those hooks are a
+    single [match] and the logs are off — the oracle-off overhead is
+    zero. *)
 
 type walk = {
   w_frame : Addr.frame;
@@ -26,7 +31,9 @@ type walk = {
 }
 
 type violation = {
-  v_cpu : int;  (** 0 = active CPU, [i >= 1] = i-th parked peer *)
+  v_cpu : int;
+      (** CPU id: [Machine.cur_cpu] for the active TLB,
+          [Machine.peer_ids.(i)] for the i-th parked one *)
   v_asid : int option;  (** [None] for a global entry *)
   v_vpage : int;
   v_cached : Tlb.entry;  (** what the TLB would serve *)
@@ -56,7 +63,9 @@ val check_machine :
     nested kernel has a pending lazy invalidation for (it guarantees
     the flush fires before the frame is reused); the predicate should
     match as narrowly as the queue entry — vpage {e and} cached frame.
-    Returns all violations found (never raises). *)
+    Returns all violations found (never raises), sorted by CPU id, then
+    ASID (globals first), then vpage — the order every list from this
+    module comes in. *)
 
 val check_va :
   ?deferred:(vpage:int -> Tlb.entry -> bool) ->
@@ -73,15 +82,19 @@ val enable :
   ?on_violation:(violation list -> unit) ->
   Machine.t ->
   unit
-(** Install the oracle on [m]'s hooks.  Checks are suppressed while
-    [m.in_nested_kernel] is set — mid-gate, a PTE write and its
-    shootdown are two steps with a legitimately incoherent window
-    between them; the gate exit fires a full audit instead.
+(** Install the oracle on [m]'s hooks (replacing any previous one) and
+    arm the store and insert logs its incremental audit reads.  Checks
+    are suppressed while [m.in_nested_kernel] is set — mid-gate, a PTE
+    write and its shootdown are two steps with a legitimately
+    incoherent window between them; the gate exit fires an audit
+    instead, and what happened meanwhile waits in the logs.
     [deferred] exempts declared lazy-invalidation entries (see
     {!check_machine}).  On a violation, calls [on_violation] if given,
     otherwise raises {!Violation}. *)
 
 val disable : Machine.t -> unit
+(** Remove the hook and turn the logs off. *)
+
 val enabled : Machine.t -> bool
 
 val pp_violation : Format.formatter -> violation -> unit

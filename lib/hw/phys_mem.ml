@@ -21,22 +21,39 @@
    negative); a page-straddling read masks to [max_int] and a
    page-straddling write never stores the sign. *)
 
+(* Store log: a checker (the coherence oracle) watches the frames its
+   verdicts depend on, and every store to a watched frame — whatever
+   path made it — is recorded once until the log is cleared.  [watch]
+   holds one byte per frame ('\000' unwatched, '\001' watched,
+   '\002' watched and already logged) and is allocated at the first
+   [watch_frame]; while it is empty the log is off and a store pays one
+   length test.  The log itself is an int array that doubles from 16
+   up to [log_capacity]; a store that finds it full there sets
+   [overflow] instead, and the checker falls back to a full re-check. *)
+let log_capacity = 1024
+
 type t = {
   plane : Bytes.t;
   frames : int;
   bytes : int;
-  mutable writes : int;
-      (* monotone mutation stamp: bumped by every store, of any width.
-         The coherence oracle compares it to prove "no byte of memory
-         — hence no PTE — changed since my last clean audit". *)
+  mutable watch : Bytes.t;
+  mutable log : int array;
+  mutable nlog : int;
+  mutable overflow : bool;
 }
 
 let create ~frames =
   if frames <= 0 then invalid_arg "Phys_mem.create: frames must be positive";
   let bytes = frames * Addr.page_size in
-  { plane = Bytes.make bytes '\000'; frames; bytes; writes = 0 }
-
-let writes t = t.writes
+  {
+    plane = Bytes.make bytes '\000';
+    frames;
+    bytes;
+    watch = Bytes.empty;
+    log = [||];
+    nlog = 0;
+    overflow = false;
+  }
 
 let num_frames t = t.frames
 let size_bytes t = t.bytes
@@ -48,13 +65,64 @@ let check t pa len =
     invalid_arg
       (Printf.sprintf "Phys_mem: access [0x%x, +%d) out of range" pa len)
 
+let note_frame t f =
+  if Bytes.unsafe_get t.watch f = '\001' then begin
+    let n = Array.length t.log in
+    if t.nlog = n && n < log_capacity then begin
+      let b = Array.make (2 * n) 0 in
+      Array.blit t.log 0 b 0 n;
+      t.log <- b
+    end;
+    if t.nlog < Array.length t.log then begin
+      Bytes.unsafe_set t.watch f '\002';
+      t.log.(t.nlog) <- f;
+      t.nlog <- t.nlog + 1
+    end
+    else t.overflow <- true
+  end
+
+(* Every store path funnels through here with the byte range it
+   wrote; with no watcher it is a single length test. *)
+let note_store t pa len =
+  if Bytes.length t.watch <> 0 && len > 0 then
+    for f = pa lsr Addr.page_shift to (pa + len - 1) lsr Addr.page_shift do
+      note_frame t f
+    done
+
+let watch_frame t f =
+  if Bytes.length t.watch = 0 then begin
+    t.watch <- Bytes.make t.frames '\000';
+    if Array.length t.log = 0 then t.log <- Array.make 16 0
+  end;
+  if Bytes.get t.watch f = '\000' then Bytes.set t.watch f '\001'
+
+let unwatch_frame t f =
+  if Bytes.length t.watch <> 0 then Bytes.set t.watch f '\000'
+
+let logged_stores t = t.nlog
+let logged_store t i = t.log.(i)
+let store_log_overflowed t = t.overflow
+
+let clear_store_log t =
+  for i = 0 to t.nlog - 1 do
+    let f = t.log.(i) in
+    if Bytes.get t.watch f = '\002' then Bytes.set t.watch f '\001'
+  done;
+  t.nlog <- 0;
+  t.overflow <- false
+
+let stop_store_log t =
+  t.watch <- Bytes.empty;
+  t.nlog <- 0;
+  t.overflow <- false
+
 let read_u8 t pa =
   check t pa 1;
   Char.code (Bytes.unsafe_get t.plane pa)
 
 let write_u8 t pa v =
   check t pa 1;
-  t.writes <- t.writes + 1;
+  note_store t pa 1;
   Bytes.unsafe_set t.plane pa (Char.unsafe_chr (v land 0xff))
 
 (* [check] already validated the range, so the word paths use the raw
@@ -90,7 +158,7 @@ let read_table_word t ~frame ~index =
 
 let write_u64 t pa v =
   check t pa 8;
-  t.writes <- t.writes + 1;
+  note_store t pa 8;
   if Addr.page_offset pa <= Addr.page_size - 8 then
     set_64_le t.plane pa (Int64.of_int v)
   else set_64_le t.plane pa (Int64.logand (Int64.of_int v) mask62)
@@ -101,7 +169,7 @@ let blit_to_bytes t pa dst dst_off len =
 
 let blit_from_bytes src src_off t pa len =
   check t pa len;
-  t.writes <- t.writes + 1;
+  note_store t pa len;
   Bytes.blit src src_off t.plane pa len
 
 let read_bytes t pa len =
@@ -111,11 +179,13 @@ let read_bytes t pa len =
 
 let write_bytes t pa b = blit_from_bytes b 0 t pa (Bytes.length b)
 
+(* The bulk frame ops note the store after the Bytes primitive has
+   bounds-checked the frame. *)
 let zero_frame t f =
-  t.writes <- t.writes + 1;
-  Bytes.fill t.plane (f * Addr.page_size) Addr.page_size '\000'
+  Bytes.fill t.plane (f * Addr.page_size) Addr.page_size '\000';
+  note_store t (f * Addr.page_size) Addr.page_size
 
 let frame_copy t ~src ~dst =
-  t.writes <- t.writes + 1;
   Bytes.blit t.plane (src * Addr.page_size) t.plane (dst * Addr.page_size)
-    Addr.page_size
+    Addr.page_size;
+  note_store t (dst * Addr.page_size) Addr.page_size

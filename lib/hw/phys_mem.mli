@@ -25,10 +25,6 @@ val read_table_word : t -> frame:Addr.frame -> index:int -> int
     validated [frame] with {!valid_frame}; same result as {!read_u64}
     of the entry's address. *)
 
-val writes : t -> int
-(** Monotone count of stores of any width — a cheap mutation stamp: if
-    it is unchanged, no byte of memory (hence no PTE) has changed. *)
-
 val write_u64 : t -> Addr.pa -> int -> unit
 
 val read_bytes : t -> Addr.pa -> int -> bytes
@@ -41,3 +37,35 @@ val frame_copy : t -> src:Addr.frame -> dst:Addr.frame -> unit
 
 val valid_pa : t -> Addr.pa -> bool
 val valid_frame : t -> Addr.frame -> bool
+
+(** {2 Store log}
+
+    For checkers that must notice every change to the frames they
+    depend on, however it was made: each of the store paths above
+    records a store to a {e watched} frame, once per frame until the
+    log is cleared.  With nothing watched the log is off and a store
+    pays a single length test; no path ever charges simulated cycles. *)
+
+val watch_frame : t -> Addr.frame -> unit
+(** Start logging stores to the frame.  The first call turns the log
+    on (allocating one byte per frame). *)
+
+val unwatch_frame : t -> Addr.frame -> unit
+
+val logged_stores : t -> int
+(** Number of distinct watched frames stored to since the last
+    {!clear_store_log}. *)
+
+val logged_store : t -> int -> Addr.frame
+(** [logged_store t i] for [0 <= i < logged_stores t]. *)
+
+val store_log_overflowed : t -> bool
+(** More watched frames were stored to than the log holds: the entries
+    present are a subset, and the reader must assume any watched frame
+    changed. *)
+
+val clear_store_log : t -> unit
+(** Empty the log; the watch set is kept. *)
+
+val stop_store_log : t -> unit
+(** Drop the watch set and turn the log off. *)

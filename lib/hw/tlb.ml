@@ -98,7 +98,8 @@ type t = {
   mutable epoch : int;
   mutable global_gen : int;
   mutable inserts : int;
-  mutable flushes : int; (* monotone count of flush operations of any scope *)
+  mutable ilog : int array; (* insert log, [||] = off; see [start_insert_log] *)
+  mutable nilog : int; (* > length ilog once the log has overflowed *)
   mutable hits : int;
   mutable misses : int;
   epoch_limit : int; (* wraparound bound; purge-and-reset when reached *)
@@ -127,7 +128,8 @@ let create ?(epoch_limit = max_int) () =
     epoch = 0;
     global_gen = 0;
     inserts = 0;
-    flushes = 0;
+    ilog = [||];
+    nilog = 0;
     hits = 0;
     misses = 0;
     epoch_limit = max 1 epoch_limit;
@@ -282,6 +284,39 @@ let lookup_packed t ~asid ~vpage =
     else miss
   end
 
+(* Insert log: while a checker has armed it, every fill is recorded as
+   the key [(asid + 1) lsl vpage_bits lor vpage] (globals under asid
+   -1), so the checker can re-examine exactly the entries that changed.
+   The log doubles from 16 up to [insert_log_capacity]; a full one
+   saturates [nilog] one past the capacity, and the checker then
+   rescans the whole TLB. *)
+let insert_log_capacity = 1024
+
+let log_insert t ~asid ~vpage =
+  let n = Array.length t.ilog in
+  if t.nilog = n && n < insert_log_capacity then begin
+    let b = Array.make (2 * n) 0 in
+    Array.blit t.ilog 0 b 0 n;
+    t.ilog <- b
+  end;
+  if t.nilog < Array.length t.ilog then
+    t.ilog.(t.nilog) <- ((asid + 1) lsl vpage_bits) lor vpage;
+  if t.nilog <= Array.length t.ilog then t.nilog <- t.nilog + 1
+
+let start_insert_log t =
+  if Array.length t.ilog = 0 then t.ilog <- Array.make 16 0;
+  t.nilog <- 0
+
+let stop_insert_log t =
+  t.ilog <- [||];
+  t.nilog <- 0
+
+let clear_insert_log t = t.nilog <- 0
+let insert_log_overflowed t = t.nilog > Array.length t.ilog
+let logged_inserts t = min t.nilog (Array.length t.ilog)
+let logged_asid t i = (t.ilog.(i) lsr vpage_bits) - 1
+let logged_vpage t i = t.ilog.(i) land vpage_mask
+
 let insert_packed t ~asid ~vpage w =
   (if packed_global w then begin
      (* replace-or-install into the global table *)
@@ -352,8 +387,21 @@ let insert_packed t ~asid ~vpage w =
      t.gns.(i) <- gen t asid;
      if t.used * 2 > t.mask + 1 then rehash t ((t.mask + 1) * 2)
    end);
+  if Array.length t.ilog <> 0 then
+    log_insert t ~asid:(if packed_global w then -1 else asid) ~vpage;
   t.inserts <- t.inserts + 1;
   if t.inserts mod sweep_interval = 0 then sweep t
+
+(* Exactly one slot: the global set for [asid = -1], otherwise the
+   (asid, vpage) table alone — the per-entry view of [iter_live_packed],
+   with no side effects. *)
+let live_packed t ~asid ~vpage =
+  if asid < 0 then
+    let gi = find_slot t.gkeys t.gmask vpage in
+    if gi >= 0 && t.ggens.(gi) = t.global_gen then t.gvals.(gi) else miss
+  else
+    let i = find_slot t.keys t.mask ((asid lsl vpage_bits) lor vpage) in
+    if i >= 0 && slot_live t ~asid i then t.vals.(i) else miss
 
 (* --- record-level API (tests, the coherence oracle) ---------------- *)
 
@@ -407,7 +455,6 @@ let purge_globals t =
   t.ngocc <- 0
 
 let flush_all t =
-  t.flushes <- t.flushes + 1;
   t.epoch <- t.epoch + 1;
   if t.epoch >= t.epoch_limit then begin
     purge_table t;
@@ -424,7 +471,6 @@ let flush_global_too t =
   end
 
 let flush_asid t ~asid =
-  t.flushes <- t.flushes + 1;
   ensure_gen t asid;
   let g = t.gens.(asid) + 1 in
   if g >= t.epoch_limit then begin
@@ -447,7 +493,6 @@ let gremove t vpage =
   if gi >= 0 then t.gkeys.(gi) <- -2
 
 let flush_page t ~vpage =
-  t.flushes <- t.flushes + 1;
   let keys = t.keys and occ = t.occ in
   for n = 0 to t.nocc - 1 do
     let i = occ.(n) in
@@ -460,7 +505,6 @@ let flush_page t ~vpage =
    shootdown of a large-leaf span (512 consecutive 4 KiB translations
    cached individually from one 2 MiB entry). *)
 let flush_span t ~vpage ~count =
-  t.flushes <- t.flushes + 1;
   let last = vpage + count - 1 in
   let keys = t.keys and occ = t.occ in
   for n = 0 to t.nocc - 1 do
@@ -519,8 +563,6 @@ let holds_asid t ~asid =
 let hits t = t.hits
 let misses t = t.misses
 let record_miss t = t.misses <- t.misses + 1
-let inserts t = t.inserts
-let flushes t = t.flushes
 
 let size t =
   let n = ref 0 in

@@ -72,6 +72,11 @@ val iter_live_packed : t -> f:(asid:int -> vpage:int -> int -> unit) -> unit
 (** {!iter_live} without the record boxing; global entries are
     reported with [asid = -1]. *)
 
+val live_packed : t -> asid:int -> vpage:int -> int
+(** The one live entry {!iter_live_packed} would report under
+    [(asid, vpage)] — the global set for [asid = -1], otherwise that
+    ASID's entry alone — or [miss].  Side-effect-free. *)
+
 val pack_entry :
   frame:Addr.frame ->
   writable:bool ->
@@ -125,13 +130,27 @@ val hits : t -> int
 val misses : t -> int
 val record_miss : t -> unit
 
-val inserts : t -> int
-(** Monotone count of fills; together with {!flushes} it stamps the
-    TLB's mutation history — unchanged counts mean unchanged content
-    (lazy tombstone reclamation never changes the live set). *)
-
-val flushes : t -> int
-(** Monotone count of flush operations of any scope. *)
-
 val size : t -> int
 (** Number of live entries (all ASIDs plus globals). *)
+
+(** {2 Insert log}
+
+    For checkers that re-examine only what changed: while armed, every
+    fill is recorded as its (ASID, vpage) key — global entries under
+    ASID [-1].  Off by default, when a fill pays a single length test;
+    it never charges simulated cycles. *)
+
+val start_insert_log : t -> unit
+(** Arm the log (empty). *)
+
+val stop_insert_log : t -> unit
+val clear_insert_log : t -> unit
+
+val insert_log_overflowed : t -> bool
+(** More fills happened than the log holds since it was last cleared:
+    the reader must rescan the whole TLB. *)
+
+val logged_inserts : t -> int
+val logged_asid : t -> int -> int
+val logged_vpage : t -> int -> int
+(** The [i]-th logged fill, [0 <= i < logged_inserts t]. *)

@@ -218,7 +218,7 @@ let nested_gen ~batched (st : Nested_kernel.State.t) =
     remove_ptp = (fun frame -> Api.remove_ptp st frame);
     load_cr3 = (fun frame -> Api.load_cr3 st frame);
     load_cr3_pcid = (fun ~pcid frame -> Api.load_cr3_pcid st ~pcid frame);
-    root_of_asid = (fun asid -> Api.nk_root_of_asid st asid);
+    root_of_asid = Api.nk_root_of_asid st;
     batched;
   }
 

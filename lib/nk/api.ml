@@ -36,8 +36,22 @@ let audit_ok = Invariants.audit_ok
 
 (* The nested kernel knows which root each PCID was bound to (the
    clean-pair table maintained by [load_cr3_pcid]); hand that to the
-   oracle so parked-ASID entries are audited against the right tree. *)
-let nk_root_of_asid (st : t) asid = Hashtbl.find_opt st.State.pcid_roots asid
+   oracle so parked-ASID entries are audited against the right tree.
+   The oracle asks for every cached ASID at every audit, so the answer
+   is served from a memo of the option block last returned per PCID:
+   a repeated answer allocates nothing. *)
+let nk_root_of_asid (st : t) =
+  let memo = Hashtbl.create 16 in
+  fun asid ->
+    match Hashtbl.find st.State.pcid_roots asid with
+    | exception Not_found -> None
+    | root -> (
+        match Hashtbl.find memo asid with
+        | Some r as answer when r = root -> answer
+        | _ | (exception Not_found) ->
+            let answer = Some root in
+            Hashtbl.replace memo asid answer;
+            answer)
 
 let nk_flush_deferred = Vmmu.flush_deferred_frame
 let nk_flush_all_deferred = Vmmu.flush_all_deferred

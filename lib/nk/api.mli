@@ -66,7 +66,9 @@ val audit_ok : t -> bool
 
 val nk_root_of_asid : t -> int -> Addr.frame option
 (** The root a PCID is currently bound to, per the vMMU's clean-pair
-    table — the ASID resolver the coherence oracle uses. *)
+    table — the ASID resolver the coherence oracle uses.  Apply it to
+    [t] once and keep the resolver: it memoizes its answers so that a
+    repeated one allocates nothing. *)
 
 val nk_flush_deferred : t -> Addr.frame -> unit
 (** Fire any lazy unmap invalidations still pending on this frame —

@@ -81,7 +81,7 @@ let ok = function
   | Error e -> failwith ("multitenant: " ^ Ktypes.errno_to_string e)
 
 let run_one ?(seed = default_seed) ?(tenants = 8) ?(conns = default_conns)
-    ~config () =
+    ?(instrument = ignore) ~config () =
   let host0 = Sys.time () in
   let isolated = Config.is_nested config in
   let k =
@@ -99,6 +99,7 @@ let run_one ?(seed = default_seed) ?(tenants = 8) ?(conns = default_conns)
         ~on_violation:(fun vs -> violations := !violations + List.length vs)
         nk
   | None -> ());
+  instrument k;
   let sched = Sched.create k in
   if isolated then Sched.set_domain_credits sched ~quantum:4;
   let p0 = Kernel.current_proc k in

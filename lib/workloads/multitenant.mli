@@ -48,7 +48,16 @@ val scratch_pages : int
 val scratch_iters : int
 
 val run_one :
-  ?seed:int -> ?tenants:int -> ?conns:int -> config:Config.t -> unit -> point
+  ?seed:int ->
+  ?tenants:int ->
+  ?conns:int ->
+  ?instrument:(Kernel.t -> unit) ->
+  config:Config.t ->
+  unit ->
+  point
+(** One (config, tenant count) point.  [instrument] runs once the
+    machine is booted and the oracle installed, before any work — the
+    hook tests use to wrap the oracle. *)
 
 val run :
   ?seed:int -> ?tenant_counts:int list -> ?conns:int -> unit -> point list

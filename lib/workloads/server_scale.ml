@@ -67,7 +67,8 @@ let fd_op_probe k p =
   done;
   (Clock.cycles m.Machine.clock - before) / rounds
 
-let run_one ?(seed = default_seed) ?(et = false) ~config conns =
+let run_one ?(seed = default_seed) ?(et = false) ?(instrument = ignore) ~config
+    conns =
   let host0 = Sys.time () in
   let k =
     Os.boot ~batched:true ~trace:true ~cpus ~frames:16384 config
@@ -81,6 +82,7 @@ let run_one ?(seed = default_seed) ?(et = false) ~config conns =
         ~on_violation:(fun vs -> violations := !violations + List.length vs)
         nk
   | None -> ());
+  instrument k;
   let sched = Sched.create k in
   let p0 = Kernel.current_proc k in
   let lfd0 = ok (Syscalls.listen k p0 ~backlog:16384) in

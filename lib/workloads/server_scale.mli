@@ -54,9 +54,17 @@ val configs : Config.t list
 
 val cpus : int
 
-val run_one : ?seed:int -> ?et:bool -> config:Config.t -> int -> point
+val run_one :
+  ?seed:int ->
+  ?et:bool ->
+  ?instrument:(Kernel.t -> unit) ->
+  config:Config.t ->
+  int ->
+  point
 (** One (config, live-connection target) cell; [et] runs the workers'
-    connections edge-triggered. *)
+    connections edge-triggered.  [instrument] runs once the machine is
+    booted and the oracle installed, before any work — the hook tests
+    use to wrap the oracle. *)
 
 val run : ?seed:int -> ?et:bool -> ?conn_counts:int list -> unit -> point list
 val to_table : point list -> Stats.table

@@ -47,7 +47,7 @@ let test_flags_stale_writable () =
     { Tlb.frame = 2; writable = true; user = false; nx = true; global = false };
   (match Coherence.check_machine m with
   | [ v ] ->
-      Alcotest.(check int) "cpu" 0 v.Coherence.v_cpu;
+      Alcotest.(check int) "cpu" m.Machine.cur_cpu v.Coherence.v_cpu;
       Alcotest.(check int) "vpage" vpage v.Coherence.v_vpage;
       Alcotest.(check bool) "why mentions writable" true
         (Astring_contains.contains v.Coherence.v_why "writable")
@@ -104,7 +104,7 @@ let test_enabled_oracle_raises_on_rogue_pte_write () =
   | Page_table.Not_mapped _ -> Alcotest.fail "dmap page must be mapped");
   (match Machine.kwrite_u64 m (Addr.kva_of_frame f0) 1 with
   | exception Coherence.Violation (v :: _) ->
-      Alcotest.(check int) "active cpu" 0 v.Coherence.v_cpu
+      Alcotest.(check int) "active cpu" m.Machine.cur_cpu v.Coherence.v_cpu
   | exception exn -> raise exn
   | Ok () | Error _ -> Alcotest.fail "oracle should have flagged the write");
   Api.Diagnostics.Coherence.disable nk
@@ -128,7 +128,7 @@ let test_flags_stale_peer_entry () =
       Phys_mem.write_u64 m.Machine.mem pa (Pte.set_writable e false)
   | Page_table.Not_mapped _ -> Alcotest.fail "dmap page must be mapped");
   (match Api.Diagnostics.Coherence.snapshot nk with
-  | [ v ] -> Alcotest.(check int) "parked peer flagged" 1 v.Coherence.v_cpu
+  | [ v ] -> Alcotest.(check int) "parked peer flagged" ap v.Coherence.v_cpu
   | vs -> Alcotest.failf "expected 1 violation, got %d" (List.length vs));
   (* A proper broadcast shootdown clears the incoherence. *)
   Machine.shootdown_page m ~vpage:(Addr.vpage (Addr.kva_of_frame f0));
@@ -163,22 +163,42 @@ let test_api_lifecycle_clean_under_oracle () =
 
 let test_oracle_off_costs_nothing () =
   (* With no hook installed the check sites must not charge cycles or
-     touch counters: two identical machines, one having had an oracle
-     installed and removed, stay cycle-identical. *)
-  let run enable =
+     touch counters: identical machines — one never watched, one having
+     had an oracle installed (and audited, so its store and insert logs
+     were armed) and removed, one with both logs armed by hand — stay
+     cycle-identical.  Removing the oracle turns the logs off. *)
+  let run mode =
     let m, nk, f0 = setup () in
-    if enable then begin
-      Api.Diagnostics.Coherence.enable nk;
-      Api.Diagnostics.Coherence.disable nk
-    end;
+    Helpers.check_ok "warm" (Machine.kread_u64 m (Addr.kva_of_frame f0));
+    (match mode with
+    | `Never -> ()
+    | `Removed ->
+        Api.Diagnostics.Coherence.enable nk;
+        Machine.coherence_check m ~op:"arm";
+        Api.Diagnostics.Coherence.disable nk
+    | `Logs_armed ->
+        for f = 0 to Phys_mem.num_frames m.Machine.mem - 1 do
+          Phys_mem.watch_frame m.Machine.mem f
+        done;
+        Tlb.start_insert_log m.Machine.tlb);
     Helpers.check_ok_nk "declare" (Api.declare_ptp nk ~level:1 f0);
     Helpers.check_ok_nk "map"
       (Api.write_pte nk ~ptp:f0 ~index:0
          (Pte.make ~frame:(f0 + 1) Pte.user_rw_nx));
+    Helpers.check_ok "touch" (Machine.kread_u64 m (Addr.kva_of_frame (f0 + 2)));
     Helpers.check_ok_nk "remove-map" (Api.write_pte nk ~ptp:f0 ~index:0 Pte.empty);
-    Clock.cycles m.Machine.clock
+    ( Clock.cycles m.Machine.clock,
+      Phys_mem.logged_stores m.Machine.mem,
+      Tlb.logged_inserts m.Machine.tlb )
   in
-  Alcotest.(check int) "cycle-identical" (run false) (run true)
+  let never, _, _ = run `Never in
+  let removed, stores, fills = run `Removed in
+  let armed, armed_stores, armed_fills = run `Logs_armed in
+  Alcotest.(check int) "cycle-identical after removal" never removed;
+  Alcotest.(check int) "cycle-identical with the logs armed" never armed;
+  Alcotest.(check (pair int int)) "logs off after removal" (0, 0) (stores, fills);
+  Alcotest.(check bool) "armed logs recorded" true
+    (armed_stores > 0 && armed_fills > 0)
 
 let test_tlb_flush_span () =
   let t = Tlb.create () in
