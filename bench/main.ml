@@ -4,6 +4,8 @@
      dune exec bench/main.exe            -- everything
      dune exec bench/main.exe -- table-3 -- one experiment
      dune exec bench/main.exe -- list    -- available experiments
+     dune exec bench/main.exe -- check BENCH_nksim.json --baseline OLD.json
+                                         -- the CI bounds (Bench_check)
 
    Each experiment prints paper-reported values next to measured ones;
    EXPERIMENTS.md records a reference run. *)
@@ -15,37 +17,33 @@ let section title = Printf.printf "\n#### %s ####\n" title
 
 (* --- machine-readable output (--json) ----------------------------- *)
 
-let json_fields : (string * string) list ref = ref []
+let json_fields : (string * Json.t) list ref = ref []
 let json_add key value = json_fields := (key, value) :: !json_fields
 
-let json_obj kvs =
-  "{"
-  ^ String.concat ", "
-      (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k v) kvs)
-  ^ "}"
-
 let write_json path =
-  let oc = open_out path in
-  output_string oc (json_obj (List.rev !json_fields));
-  output_char oc '\n';
-  close_out oc
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (Json.to_string (Json.Obj (List.rev !json_fields)));
+      output_char oc '\n')
+
+(* A sweep's object: the seed, sweep-level keys, then one object per
+   point generated from the sweep's field list. *)
+let json_sweep key header fields points =
+  let point p = Json.Obj (Harness.members fields p) in
+  json_add key
+    (Json.Obj
+       ((("seed", Json.int (Harness.seed ())) :: header)
+       @ [ ("points", Json.Arr (List.map point points)) ]))
 
 (* --- E1: section 5.1, TCB and porting effort ---------------------- *)
 
+(* Lines that are neither blank nor open with a comment. *)
 let count_lines path =
-  let ic = open_in path in
-  let code = ref 0 and comment = ref 0 and blank = ref 0 in
-  (try
-     while true do
-       let line = String.trim (input_line ic) in
-       if line = "" then incr blank
-       else if String.length line >= 2 && String.sub line 0 2 = "(*" then
-         incr comment
-       else incr code
-     done
-   with End_of_file -> ());
-  close_in ic;
-  (!code, !comment, !blank)
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l ->
+         let l = String.trim l in
+         l <> "" && not (String.starts_with ~prefix:"(*" l))
+  |> List.length
 
 let dir_loc dir ~ext =
   match Sys.readdir dir with
@@ -53,8 +51,7 @@ let dir_loc dir ~ext =
       Array.fold_left
         (fun acc f ->
           if Filename.check_suffix f ext then
-            let code, _, _ = count_lines (Filename.concat dir f) in
-            acc + code
+            acc + count_lines (Filename.concat dir f)
           else acc)
         0 entries
   | exception Sys_error _ -> 0
@@ -152,11 +149,11 @@ let table_3 () =
   section "Table 3: privilege boundary crossing costs";
   let r = Boundary.run () in
   json_add "table3_us"
-    (json_obj
+    (Json.Obj
        [
-         ("nk_call", Printf.sprintf "%.4f" r.Boundary.nk_call_us);
-         ("syscall", Printf.sprintf "%.4f" r.Boundary.syscall_us);
-         ("vmcall", Printf.sprintf "%.4f" r.Boundary.vmcall_us);
+         ("nk_call", Json.float 4 r.Boundary.nk_call_us);
+         ("syscall", Json.float 4 r.Boundary.syscall_us);
+         ("vmcall", Json.float 4 r.Boundary.vmcall_us);
        ]);
   Stats.print (Boundary.to_table r)
 
@@ -232,19 +229,23 @@ let ablation_batch () =
 
 (* --- extensions: allocator, granularity gap, context switches ----- *)
 
+(* Simulated cycles per call of [f], after one warm-up call. *)
+let cycles_per_op (m : Nkhw.Machine.t) ~ops f =
+  f ();
+  let snap = Nkhw.Clock.snapshot m.Nkhw.Machine.clock in
+  for _ = 1 to ops do
+    f ()
+  done;
+  Nkhw.Clock.cycles_since m.Nkhw.Machine.clock snap / ops
+
 let ablation_allocator () =
   section "Ablation (section 6): nested-kernel-guarded allocator";
+  (* One op is an alloc or a free: each round is two. *)
   let cycles_per_op k allocator =
-    let ops = 400 in
-    (* Warm. *)
-    let c = Result.get_ok (Guarded_alloc.alloc allocator) in
-    ignore (Guarded_alloc.free allocator c);
-    let snap = Nkhw.Clock.snapshot k.Kernel.machine.Nkhw.Machine.clock in
-    for _ = 1 to ops do
-      let c = Result.get_ok (Guarded_alloc.alloc allocator) in
-      ignore (Guarded_alloc.free allocator c)
-    done;
-    Nkhw.Clock.cycles_since k.Kernel.machine.Nkhw.Machine.clock snap / (2 * ops)
+    cycles_per_op k.Kernel.machine ~ops:400 (fun () ->
+        let c = Result.get_ok (Guarded_alloc.alloc allocator) in
+        ignore (Guarded_alloc.free allocator c))
+    / 2
   in
   let kn = Os.boot Config.Native in
   let inline_cost =
@@ -286,15 +287,7 @@ let ablation_granularity () =
          Nested_kernel.Policy.unrestricted)
   in
   let plain = Nkhw.Addr.kva_of_frame (frame + 1) in
-  let ops = 200 in
-  let measure f =
-    f ();
-    let snap = Nkhw.Clock.snapshot m.Nkhw.Machine.clock in
-    for _ = 1 to ops do
-      f ()
-    done;
-    Nkhw.Clock.cycles_since m.Nkhw.Machine.clock snap / ops
-  in
+  let measure = cycles_per_op m ~ops:200 in
   let direct_cost =
     measure (fun () ->
         match Nkhw.Machine.kwrite_u64 m plain 1 with Ok () -> () | Error _ -> ())
@@ -371,46 +364,40 @@ let extra_ctx_switch () =
     | Some (_, (us, _, _, _), _) -> us
     | None -> 1.0
   in
+  let us (_, (us, _, _, _), _) = us in
+  let of_n count r = Printf.sprintf "%d/%d" (count r) n in
+  let full (_, (_, _, full, _), _) = full and asid (_, (_, _, _, asid), _) = asid in
+  let fields =
+    Harness.
+      [
+        col "system" (fun (name, _, _) -> name);
+        field "us_per_switch" ~col:"us/switch"
+          ~cell:(fun r -> Printf.sprintf "%.3f" (us r))
+          (fun r -> Json.float 4 (us r));
+        col "relative" (fun r -> Stats.f2 (us r /. native_us));
+        int "cycles_per_switch" (fun (_, (_, cyc, _, _), _) -> cyc);
+        field "tlb_flush_full" ~col:"full flushes" ~cell:(of_n full) (fun r ->
+            Json.int (full r));
+        field "tlb_flush_asid" ~col:"ASID flushes" ~cell:(of_n asid) (fun r ->
+            Json.int (asid r));
+        int "switches" (fun _ -> n);
+        field "pcid" (fun (_, _, pcid) -> Json.Bool pcid);
+      ]
+  in
   json_add "ctx_switch"
-    (json_obj
+    (Json.Obj
        (List.map
-          (fun (name, (us, cyc, full, asid), pcid) ->
-            ( name,
-              json_obj
-                [
-                  ("us_per_switch", Printf.sprintf "%.4f" us);
-                  ("cycles_per_switch", string_of_int cyc);
-                  ("tlb_flush_full", string_of_int full);
-                  ("tlb_flush_asid", string_of_int asid);
-                  ("switches", string_of_int n);
-                  ("pcid", string_of_bool pcid);
-                ] ))
+          (fun ((name, _, _) as r) -> (name, Json.Obj (Harness.members fields r)))
           rows));
   Stats.print
-    {
-      Stats.title = "2-process ping-pong context switch (us per switch)";
-      columns =
-        [
-          "system"; "us/switch"; "relative"; "full flushes"; "ASID flushes";
-        ];
-      rows =
-        List.map
-          (fun (name, (us, _, full, asid), _) ->
-            [
-              name;
-              Printf.sprintf "%.3f" us;
-              Stats.f2 (us /. native_us);
-              Printf.sprintf "%d/%d" full n;
-              Printf.sprintf "%d/%d" asid n;
-            ])
-          rows;
-      notes =
-        [
-          "every mediated switch pays a gate crossing plus the hidden CR3-code page map/unmap (section 3.7)";
-          "with PCID the clean-pair switch skips the full TLB flush; the \
-           no-PCID rows are the ablation baseline";
-        ];
-    }
+    (Harness.table ~title:"2-process ping-pong context switch (us per switch)"
+       ~notes:
+         [
+           "every mediated switch pays a gate crossing plus the hidden CR3-code page map/unmap (section 3.7)";
+           "with PCID the clean-pair switch skips the full TLB flush; the \
+            no-PCID rows are the ablation baseline";
+         ]
+       fields rows)
 
 let extra_smp_shootdown () =
   section "Extra: TLB-shootdown scaling with CPU count";
@@ -461,186 +448,36 @@ let extra_smp_scaling () =
      sweep checked costs nothing in simulated time; host time around
      the sweep gives the wallclock rate (simulated cycles per host
      second) the JSON reports. *)
-  let host0 = Sys.time () in
-  let points = Smp_scale.run ~coherence:true () in
-  let host_secs = Sys.time () -. host0 in
-  let total_cycles =
-    List.fold_left (fun a p -> a + p.Smp_scale.cycles) 0 points
-  in
-  let wallclock =
-    if host_secs > 0. then float_of_int total_cycles /. host_secs else 0.
-  in
-  let json_list items = "[" ^ String.concat ", " items ^ "]" in
-  json_add "smp_scaling"
-    (json_obj
-       [
-         ( "seed",
-           string_of_int
-             (match points with
-             | p :: _ -> p.Smp_scale.seed
-             | [] -> Smp_scale.default_seed) );
-         ("wallclock", Printf.sprintf "%.0f" wallclock);
-         ( "points",
-           json_list
-             (List.map
-                (fun (p : Smp_scale.point) ->
-                  json_obj
-                    [
-                      ("cpus", string_of_int p.Smp_scale.cpus);
-                      ("steps", string_of_int p.Smp_scale.steps);
-                      ("syscalls", string_of_int p.Smp_scale.syscalls);
-                      ("cycles", string_of_int p.Smp_scale.cycles);
-                      ( "syscalls_per_mcycle",
-                        Printf.sprintf "%.1f" p.Smp_scale.throughput );
-                      ( "shootdowns_rx",
-                        json_list
-                          (List.map string_of_int p.Smp_scale.shootdowns) );
-                      ("ipi_shootdowns", string_of_int p.Smp_scale.ipis);
-                      ("shootdown_sent", string_of_int p.Smp_scale.sent);
-                      ( "shootdown_filtered",
-                        string_of_int p.Smp_scale.filtered );
-                      ( "shootdown_coalesced",
-                        string_of_int p.Smp_scale.coalesced );
-                      ("flush_deferred", string_of_int p.Smp_scale.deferred);
-                      ("flush_on_reuse", string_of_int p.Smp_scale.reuse);
-                      ("steals", string_of_int p.Smp_scale.steals);
-                      ("migrations", string_of_int p.Smp_scale.migrations);
-                      ( "oracle_violations",
-                        string_of_int p.Smp_scale.oracle_violations );
-                      ( "audit_failures",
-                        string_of_int p.Smp_scale.audit_failures );
-                    ])
-                points) );
-       ]);
+  let points, host_secs = Harness.timed Smp_scale.run in
+  let cycles = List.fold_left (fun a p -> a + p.Smp_scale.cycles) 0 points in
+  json_sweep "smp_scaling"
+    [ ("wallclock", Json.float 0 (Harness.wallclock ~cycles ~host_secs)) ]
+    Smp_scale.fields points;
   Stats.print (Smp_scale.to_table points)
 
 let extra_server_scale () =
   section "Extra: event-driven serving at 1k..100k live connections (E15)";
-  let host0 = Sys.time () in
-  let points = Server_scale.run () in
-  let host_secs = Sys.time () -. host0 in
-  let json_list items = "[" ^ String.concat ", " items ^ "]" in
-  json_add "server_scale"
-    (json_obj
-       [
-         ( "seed",
-           string_of_int
-             (match points with
-             | p :: _ -> p.Server_scale.seed
-             | [] -> Server_scale.default_seed) );
-         ("cpus", string_of_int Server_scale.cpus);
-         ("host_secs", Printf.sprintf "%.1f" host_secs);
-         ( "points",
-           json_list
-             (List.map
-                (fun (p : Server_scale.point) ->
-                  json_obj
-                    [
-                      ("config", Printf.sprintf "%S" (Config.name p.Server_scale.config));
-                      ("conns", string_of_int p.Server_scale.conns);
-                      ("steps", string_of_int p.Server_scale.steps);
-                      ("live_peak", string_of_int p.Server_scale.live_peak);
-                      ("accepted", string_of_int p.Server_scale.accepted);
-                      ("completed", string_of_int p.Server_scale.completed);
-                      ("gets", string_of_int p.Server_scale.gets);
-                      ("sets", string_of_int p.Server_scale.sets);
-                      ("p50", string_of_int p.Server_scale.p50);
-                      ("p99", string_of_int p.Server_scale.p99);
-                      ("p999", string_of_int p.Server_scale.p999);
-                      ("fd_op_cycles", string_of_int p.Server_scale.fd_op_cycles);
-                      ( "accepts_local",
-                        string_of_int p.Server_scale.accepts_local );
-                      ( "accepts_steal",
-                        string_of_int p.Server_scale.accepts_steal );
-                      ( "backlog_drops",
-                        string_of_int p.Server_scale.backlog_drops );
-                      ( "epoll_wakeups",
-                        string_of_int p.Server_scale.epoll_wakeups );
-                      ("slab_hits", string_of_int p.Server_scale.slab_hits);
-                      ( "slab_refills",
-                        string_of_int p.Server_scale.slab_refills );
-                      ("cycles", string_of_int p.Server_scale.cycles);
-                      ( "wallclock",
-                        Printf.sprintf "%.0f"
-                          (if p.Server_scale.host_secs > 0. then
-                             float_of_int p.Server_scale.cycles
-                             /. p.Server_scale.host_secs
-                           else 0.) );
-                      ( "oracle_violations",
-                        string_of_int p.Server_scale.oracle_violations );
-                      ( "audit_failures",
-                        string_of_int p.Server_scale.audit_failures );
-                    ])
-                points) );
-       ]);
+  let points, host_secs = Harness.timed Server_scale.run in
+  json_sweep "server_scale"
+    [
+      ("cpus", Json.int Server_scale.cpus); ("host_secs", Json.float 1 host_secs);
+    ]
+    Server_scale.fields points;
   Stats.print (Server_scale.to_table points)
 
 let extra_multitenant () =
   section
     "Extra: multi-tenant serving — N tenant domains vs native vs \
      simulated hypervisor (E17)";
-  let host0 = Sys.time () in
-  let points = Multitenant.run () in
-  let host_secs = Sys.time () -. host0 in
-  let json_list items = "[" ^ String.concat ", " items ^ "]" in
-  json_add "multitenant"
-    (json_obj
-       [
-         ( "seed",
-           string_of_int
-             (match points with
-             | p :: _ -> p.Multitenant.seed
-             | [] -> Multitenant.default_seed) );
-         ("cpus", string_of_int Multitenant.cpus);
-         ("scratch_pages", string_of_int Multitenant.scratch_pages);
-         ("scratch_iters", string_of_int Multitenant.scratch_iters);
-         ("host_secs", Printf.sprintf "%.1f" host_secs);
-         ( "points",
-           json_list
-             (List.map
-                (fun (p : Multitenant.point) ->
-                  json_obj
-                    [
-                      ( "config",
-                        Printf.sprintf "%S" (Config.name p.Multitenant.config)
-                      );
-                      ("tenants", string_of_int p.Multitenant.tenants);
-                      ("conns", string_of_int p.Multitenant.conns);
-                      ("steps", string_of_int p.Multitenant.steps);
-                      ("completed", string_of_int p.Multitenant.completed);
-                      ( "throughput",
-                        Printf.sprintf "%.3f" p.Multitenant.throughput );
-                      ("p50", string_of_int p.Multitenant.p50);
-                      ("p99", string_of_int p.Multitenant.p99);
-                      ("p999", string_of_int p.Multitenant.p999);
-                      ( "xdom_denials",
-                        string_of_int p.Multitenant.xdom_denials );
-                      ("vmcalls", string_of_int p.Multitenant.vmcalls);
-                      ( "sched_epochs",
-                        string_of_int p.Multitenant.sched_epochs );
-                      ("pipe_words", string_of_int p.Multitenant.pipe_words);
-                      ( "teardown_leaks",
-                        string_of_int p.Multitenant.teardown_leaks );
-                      ("cycles", string_of_int p.Multitenant.cycles);
-                      ( "wallclock",
-                        Printf.sprintf "%.0f"
-                          (if p.Multitenant.host_secs > 0. then
-                             float_of_int p.Multitenant.cycles
-                             /. p.Multitenant.host_secs
-                           else 0.) );
-                      ( "per_tenant_completed",
-                        json_list
-                          (List.map
-                             (fun (t : Multitenant.tenant) ->
-                               string_of_int t.Multitenant.t_completed)
-                             p.Multitenant.per_tenant) );
-                      ( "oracle_violations",
-                        string_of_int p.Multitenant.oracle_violations );
-                      ( "audit_failures",
-                        string_of_int p.Multitenant.audit_failures );
-                    ])
-                points) );
-       ]);
+  let points, host_secs = Harness.timed Multitenant.run in
+  json_sweep "multitenant"
+    [
+      ("cpus", Json.int Multitenant.cpus);
+      ("scratch_pages", Json.int Multitenant.scratch_pages);
+      ("scratch_iters", Json.int Multitenant.scratch_iters);
+      ("host_secs", Json.float 1 host_secs);
+    ]
+    Multitenant.fields points;
   Stats.print (Multitenant.to_table points)
 
 let extra_coherence () =
@@ -677,22 +514,17 @@ let extra_coherence () =
     workload nk f0;
     Nkhw.Clock.cycles m.Nkhw.Machine.clock
   in
-  let timed mode =
-    let t0 = Sys.time () in
-    let cycles = run mode in
-    (cycles, Sys.time () -. t0)
-  in
-  let baseline, base_s = timed `Baseline in
-  let off, off_s = timed `Off in
-  let on, on_s = timed `On in
+  let baseline, base_s = Harness.timed (fun () -> run `Baseline) in
+  let off, off_s = Harness.timed (fun () -> run `Off) in
+  let on, on_s = Harness.timed (fun () -> run `On) in
   json_add "coherence_oracle"
-    (json_obj
+    (Json.Obj
        [
-         ("baseline_cycles", string_of_int baseline);
-         ("oracle_off_cycles", string_of_int off);
-         ("oracle_on_cycles", string_of_int on);
-         ("off_overhead_cycles", string_of_int (off - baseline));
-         ("oracle_on_wallclock_x", Printf.sprintf "%.1f" (on_s /. max 1e-9 off_s));
+         ("baseline_cycles", Json.int baseline);
+         ("oracle_off_cycles", Json.int off);
+         ("oracle_on_cycles", Json.int on);
+         ("off_overhead_cycles", Json.int (off - baseline));
+         ("oracle_on_wallclock_x", Json.float 1 (on_s /. max 1e-9 off_s));
        ]);
   Stats.print
     {
@@ -738,21 +570,19 @@ let extra_latency_hist () =
         else None)
       Lmbench.benches
   in
-  let starts_with prefix s =
-    String.length s >= String.length prefix
-    && String.sub s 0 (String.length prefix) = prefix
-  in
+  let starts_with prefix = String.starts_with ~prefix in
   let hists pred (snap : Tr.snapshot) =
     List.filter (fun (name, _) -> pred name) snap.Tr.histograms
   in
+  let summary h = Json.of_string (Tr.summary_to_json h) in
   json_add "latency_hist"
-    (json_obj
+    (Json.Obj
        (List.map
           (fun (bname, snap) ->
             ( bname,
-              json_obj
+              Json.Obj
                 (List.map
-                   (fun (hname, h) -> (hname, Tr.summary_to_json h))
+                   (fun (hname, h) -> (hname, summary h))
                    (hists (starts_with "sys_") snap)) ))
           snaps));
   (* Gate-crossing span breakdown from the mmap run: its page-table
@@ -760,9 +590,9 @@ let extra_latency_hist () =
   (match List.assoc_opt "mmap" snaps with
   | Some snap ->
       json_add "gate_spans"
-        (json_obj
+        (Json.Obj
            (List.map
-              (fun (hname, h) -> (hname, Tr.summary_to_json h))
+              (fun (hname, h) -> (hname, summary h))
               (hists (starts_with "gate") snap)))
   | None -> ());
   Stats.print
@@ -797,35 +627,15 @@ let extra_latency_hist () =
 
 let fault_soak () =
   section "Extra: fault-injection soak (graceful degradation)";
-  let host0 = Sys.time () in
-  let r = Fault_soak.run ~seed:7 () in
-  let host_secs = Sys.time () -. host0 in
-  let wallclock =
-    if host_secs > 0. then float_of_int r.Fault_soak.cycles /. host_secs else 0.
-  in
+  let r, host_secs = Harness.timed (Fault_soak.run ~seed:7) in
+  let cycles = r.Fault_soak.cycles in
   json_add "fault_soak"
-    (json_obj
-       [
-         ("seed", string_of_int r.Fault_soak.seed);
-         ("rate", Printf.sprintf "%g" r.Fault_soak.rate);
-         ("ops", string_of_int r.Fault_soak.ops);
-         ("completed", string_of_int r.Fault_soak.completed);
-         ("degraded", string_of_int r.Fault_soak.degraded);
-         ("total_injected", string_of_int r.Fault_soak.total_injected);
-         ( "injected",
-           json_obj
-             (List.map
-                (fun (site, n) -> (site, string_of_int n))
-                r.Fault_soak.injected) );
-         ("escaped_exceptions", string_of_int r.Fault_soak.escaped_exceptions);
-         ( "coherence_violations",
-           string_of_int r.Fault_soak.coherence_violations );
-         ("invariant_failures", string_of_int r.Fault_soak.invariant_failures);
-         ("survived", string_of_bool (Fault_soak.survived r));
-         ("cycles", string_of_int r.Fault_soak.cycles);
-         ("host_secs", Printf.sprintf "%.3f" host_secs);
-         ("wallclock", Printf.sprintf "%.0f" wallclock);
-       ]);
+    (Json.Obj
+       (Harness.members Fault_soak.fields r
+       @ [
+           ("host_secs", Json.float 3 host_secs);
+           ("wallclock", Json.float 0 (Harness.wallclock ~cycles ~host_secs));
+         ]));
   Stats.print (Fault_soak.to_table r)
 
 (* --- steady-state allocation: the zero-allocation hot-path claim --- *)
@@ -869,23 +679,19 @@ let gc_alloc () =
     per_op ~warm:1000 ~ops:100_000 (fun () ->
         ignore (Syscalls.getpid ktr ptr_))
   in
-  json_add "gc"
-    (json_obj
-       [
-         ("minor_words_per_syscall", Printf.sprintf "%.2f" null_words);
-         ("minor_words_per_open_close", Printf.sprintf "%.2f" open_close_words);
-         ("minor_words_per_syscall_traced", Printf.sprintf "%.2f" traced_words);
-       ]);
+  let rows =
+    [
+      ("minor_words_per_syscall", "null syscall (getpid)", null_words);
+      ("minor_words_per_open_close", "open + close", open_close_words);
+      ("minor_words_per_syscall_traced", "null syscall, tracing on", traced_words);
+    ]
+  in
+  json_add "gc" (Json.Obj (List.map (fun (k, _, v) -> (k, Json.float 2 v)) rows));
   Stats.print
     {
       Stats.title = "Steady-state allocation (Gc.minor_words per op)";
       columns = [ "operation"; "minor words/op" ];
-      rows =
-        [
-          [ "null syscall (getpid)"; Printf.sprintf "%.2f" null_words ];
-          [ "open + close"; Printf.sprintf "%.2f" open_close_words ];
-          [ "null syscall, tracing on"; Printf.sprintf "%.2f" traced_words ];
-        ];
+      rows = List.map (fun (_, op, v) -> [ op; Printf.sprintf "%.2f" v ]) rows;
       notes =
         [
           "exact minor-heap words allocated per operation after warmup; \
@@ -975,8 +781,7 @@ let bechamel () =
       (List.sort compare names)
   in
   json_add "bechamel_ns_per_run"
-    (json_obj
-       (List.map (fun (n, est) -> (n, Printf.sprintf "%.0f" est)) estimates));
+    (Json.Obj (List.map (fun (n, est) -> (n, Json.float 0 est)) estimates));
   List.iter
     (fun name ->
       match List.assoc_opt name estimates with
@@ -1009,10 +814,28 @@ let experiments =
     ("bechamel", bechamel);
   ]
 
+let check fresh baseline =
+  let failures =
+    Bench_check.check ~baseline:(Json.of_file baseline) (Json.of_file fresh)
+  in
+  List.iter (fun (gate, msg) -> Printf.printf "FAIL %s: %s\n" gate msg) failures;
+  if failures = [] then begin
+    Printf.printf "%s: all %d gates pass against %s\n" fresh
+      (List.length Bench_check.gates) baseline;
+    exit 0
+  end
+  else exit 1
+
 let () =
   let args =
     match Array.to_list Sys.argv with _ :: rest -> rest | [] -> []
   in
+  (match args with
+  | [ "check"; fresh; "--baseline"; baseline ] -> check fresh baseline
+  | "check" :: _ ->
+      prerr_endline "usage: check FRESH.json --baseline BASELINE.json";
+      exit 2
+  | _ -> ());
   let json = List.mem "--json" args in
   let args = List.filter (fun a -> a <> "--json") args in
   (match args with

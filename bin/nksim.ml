@@ -204,12 +204,10 @@ let smp_run k seed =
    deterministic report (CI diffs reruns byte-for-byte), and these
    numbers legitimately vary with the host. *)
 let host_report ~host_secs ~cycles =
-  let wallclock =
-    if host_secs > 0. then float_of_int cycles /. host_secs else 0.
-  in
   let g = Gc.quick_stat () in
   Printf.eprintf "  host wallclock  : %.0f sim cycles/host sec (%.3fs host)\n"
-    wallclock host_secs;
+    (Nk_workloads.Harness.wallclock ~cycles ~host_secs)
+    host_secs;
   Printf.eprintf "  GC              : %.0f minor words, %d minor / %d major \
                   collections\n"
     g.Gc.minor_words g.Gc.minor_collections g.Gc.major_collections
@@ -244,7 +242,7 @@ let boot_cmd =
     | Some seed -> smp_run k seed
     | None ->
         if cpus > 1 || inject <> None then
-          smp_run k Nk_workloads.Smp_scale.default_seed);
+          smp_run k Nk_workloads.Harness.default_seed);
     (match inject with
     | None -> ()
     | Some inj ->
@@ -418,11 +416,9 @@ let check_cmd =
   let run depth vocab inject max_states out replay =
     match replay with
     | Some path ->
-        let ic = open_in_bin path in
-        let len = in_channel_length ic in
-        let content = really_input_string ic len in
-        close_in ic;
-        let outcome = Nkcheck.replay_script content in
+        let outcome =
+          Nkcheck.replay_script (In_channel.with_open_bin path In_channel.input_all)
+        in
         Printf.printf "replay %s: %d ops\n" path
           (List.length outcome.Nkcheck.ro_ops);
         if outcome.Nkcheck.ro_failures = [] then begin
@@ -473,10 +469,11 @@ let check_cmd =
 let conns_arg =
   Arg.(
     value
-    & opt int 10_000
+    & opt (some int) None
     & info [ "conns" ] ~docv:"N"
-        ~doc:"Live-connection target for the load generator (the full \
-              bench sweeps 1k..100k).")
+        ~doc:"Live-connection target for the load generator: default 10000 \
+              (the full bench sweeps 1k..100k), or 400 per tenant with \
+              $(b,--domains).")
 
 let serve_seed_arg =
   Arg.(
@@ -503,67 +500,34 @@ let domains_arg =
               listener, ASID partition and run-queue credit account) \
               instead of one shared kernel tenancy.")
 
-let serve_tenants config tenants conns seed =
-  let module M = Nk_workloads.Multitenant in
-  let seed = match seed with Some s -> s | None -> M.default_seed in
-  let conns = match conns with 10_000 -> M.default_conns | n -> n in
-  let p = M.run_one ~seed ~tenants ~conns ~config () in
-  Printf.printf
-    "multi-tenant kv: %s, %d vCPUs, %d tenants x %d connections (seed %d)\n"
-    (Config.name config) M.cpus tenants conns seed;
-  List.iteri
-    (fun i (t : M.tenant) ->
-      Printf.printf
-        "  tenant %-2d       : %d requests (%d GET / %d SET), live peak %d%s\n"
-        (i + 1) t.M.t_completed t.M.t_gets t.M.t_sets t.M.t_live_peak
-        (if t.M.t_domain > 0 then Printf.sprintf " [domain %d]" t.M.t_domain
-         else ""))
-    p.M.per_tenant;
-  Printf.printf "  requests        : %d total\n" p.M.completed;
-  Printf.printf "  latency (cycles): p50=%d p99=%d p999=%d\n" p.M.p50 p.M.p99
-    p.M.p999;
-  Printf.printf "  throughput      : %.2f req/Mcycle\n" p.M.throughput;
-  Printf.printf "  isolation       : %d cross-domain denials, %d pipe words, \
-                  %d teardown leaks\n"
-    p.M.xdom_denials p.M.pipe_words p.M.teardown_leaks;
-  Printf.printf "  scheduler       : %d credit epochs\n" p.M.sched_epochs;
-  if p.M.vmcalls > 0 then
-    Printf.printf "  vmcalls         : %d\n" p.M.vmcalls;
-  Printf.printf "  oracle/audit    : %d violations, %d failures\n"
-    p.M.oracle_violations p.M.audit_failures;
-  host_report ~host_secs:p.M.host_secs ~cycles:p.M.cycles;
-  if
-    p.M.oracle_violations = 0 && p.M.audit_failures = 0
-    && p.M.teardown_leaks = 0
-  then 0
-  else 1
-
 let serve_cmd =
   let run config conns seed et domains =
-    if domains > 0 then serve_tenants config domains conns seed
+    let seed = Option.value seed ~default:(Nk_workloads.Harness.seed ()) in
+    let report fields p ~cycles ~host_secs ~clean =
+      Nk_workloads.Harness.report fields p;
+      host_report ~host_secs ~cycles;
+      if clean then 0 else 1
+    in
+    if domains > 0 then begin
+      let module M = Nk_workloads.Multitenant in
+      let p = M.run_one ~seed ~tenants:domains ?conns ~config () in
+      Printf.printf
+        "multi-tenant kv: %s, %d vCPUs, %d tenants x %d connections (seed %d)\n"
+        (Config.name config) M.cpus domains p.M.conns seed;
+      report M.fields p ~cycles:p.M.cycles ~host_secs:p.M.host_secs
+        ~clean:
+          (p.M.oracle_violations = 0 && p.M.audit_failures = 0
+         && p.M.teardown_leaks = 0)
+    end
     else begin
-    let module S = Nk_workloads.Server_scale in
-    let seed = match seed with Some s -> s | None -> S.env_seed () in
-    let p = S.run_one ~seed ~et ~config conns in
-    Printf.printf "kv server: %s, %d vCPUs, %d-connection target (seed %d%s)\n"
-      (Config.name config) S.cpus conns seed
-      (if et then ", edge-triggered" else "");
-    Printf.printf "  live peak       : %d connections\n" p.S.live_peak;
-    Printf.printf "  accepted        : %d (%d local, %d stolen, %d dropped)\n"
-      p.S.accepted p.S.accepts_local p.S.accepts_steal p.S.backlog_drops;
-    Printf.printf "  requests        : %d (%d GET / %d SET)\n" p.S.completed
-      p.S.gets p.S.sets;
-    Printf.printf "  latency (cycles): p50=%d p99=%d p999=%d\n" p.S.p50 p.S.p99
-      p.S.p999;
-    Printf.printf "  fd open/close   : %d cycles at peak table size\n"
-      p.S.fd_op_cycles;
-    Printf.printf "  epoll wakeups   : %d\n" p.S.epoll_wakeups;
-    Printf.printf "  slab magazines  : %d hits / %d refills\n" p.S.slab_hits
-      p.S.slab_refills;
-    Printf.printf "  oracle/audit    : %d violations, %d failures\n"
-      p.S.oracle_violations p.S.audit_failures;
-    host_report ~host_secs:p.S.host_secs ~cycles:p.S.cycles;
-    if p.S.oracle_violations = 0 && p.S.audit_failures = 0 then 0 else 1
+      let module S = Nk_workloads.Server_scale in
+      let conns = Option.value conns ~default:10_000 in
+      let p = S.run_one ~seed ~et ~config conns in
+      Printf.printf "kv server: %s, %d vCPUs, %d-connection target (seed %d%s)\n"
+        (Config.name config) S.cpus conns seed
+        (if et then ", edge-triggered" else "");
+      report S.fields p ~cycles:p.S.cycles ~host_secs:p.S.host_secs
+        ~clean:(p.S.oracle_violations = 0 && p.S.audit_failures = 0)
     end
   in
   Cmd.v

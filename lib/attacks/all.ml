@@ -46,6 +46,3 @@ let expected_defended config name =
   match policy_specific name with
   | Some required -> config = required
   | None -> Config.is_nested config
-
-let run_all k =
-  List.map (fun (a : Attack.t) -> (a, a.Attack.run k)) attacks

@@ -12,5 +12,3 @@ val expected_defended : Config.t -> string -> bool
     base nested kernel intentionally does {e not} stop the
     policy-specific attacks (syscall hooking without the write-once
     table, DKOM without the shadow list) — exactly as in the paper. *)
-
-val run_all : Kernel.t -> (Attack.t * Attack.outcome) list

@@ -829,5 +829,3 @@ let disable (m : Machine.t) =
   Tlb.stop_insert_log m.Machine.tlb;
   Array.iter Tlb.stop_insert_log m.Machine.peer_tlbs;
   m.Machine.coherence_hook <- None
-
-let enabled (m : Machine.t) = m.Machine.coherence_hook <> None

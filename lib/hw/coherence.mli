@@ -95,6 +95,4 @@ val enable :
 val disable : Machine.t -> unit
 (** Remove the hook and turn the logs off. *)
 
-val enabled : Machine.t -> bool
-
 val pp_violation : Format.formatter -> violation -> unit

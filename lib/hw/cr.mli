@@ -15,9 +15,6 @@ val efer_lme : int
 val efer_nx : int
 (** Bit masks, at their x86-64 positions. *)
 
-val pcid_bits : int
-(** Width of a process-context identifier (12). *)
-
 val max_pcid : int
 (** Largest valid PCID (4095). *)
 

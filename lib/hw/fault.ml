@@ -30,10 +30,6 @@ let vector = function
   | General_protection _ -> 13
   | Invalid_opcode _ -> 6
 
-let pp_access_kind ppf k =
-  Format.pp_print_string ppf
-    (match k with Read -> "read" | Write -> "write" | Exec -> "exec")
-
 let pp ppf = function
   | Page_fault { va; code } ->
       Format.fprintf ppf "#PF at %a (%s%s%s%s)" Addr.pp_va va

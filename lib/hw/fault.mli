@@ -25,7 +25,6 @@ val vector : t -> int
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
-val pp_access_kind : Format.formatter -> access_kind -> unit
 
 exception Hardware of t
 (** Raised by machine memory accessors on faulting accesses when the

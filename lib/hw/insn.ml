@@ -398,8 +398,6 @@ let is_protected = function Mov_to_cr _ | Wrmsr -> true | _ -> false
 
 type protected_kind = P_mov_cr of cr | P_wrmsr
 
-let equal_protected_kind a b = a = b
-
 let pp_reg ppf r =
   Format.pp_print_string ppf
     (match r with

@@ -60,7 +60,6 @@ type t =
           outer-kernel logic implemented in OCaml. *)
 
 val reg_code : reg -> int
-val cr_code : cr -> int
 val all_regs : reg list
 
 val encoded_length : t -> int
@@ -91,9 +90,7 @@ val is_protected : t -> bool
 type protected_kind = P_mov_cr of cr | P_wrmsr
 
 val pp : Format.formatter -> t -> unit
-val pp_reg : Format.formatter -> reg -> unit
 val pp_protected_kind : Format.formatter -> protected_kind -> unit
-val equal_protected_kind : protected_kind -> protected_kind -> bool
 
 val find_protected_patterns : bytes -> (int * protected_kind) list
 (** All byte offsets (aligned or not) where a protected-instruction

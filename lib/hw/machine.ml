@@ -49,7 +49,7 @@ type t = {
 
 let msr_efer = 0xC0000080
 
-let create ?(frames = 8192) ?(costs = Costs.default) () =
+let create ?(frames = 8192) () =
   let clock = Clock.create () in
   let trace = Nktrace.create () in
   Nktrace.set_now trace (fun () -> Clock.cycles clock);
@@ -58,7 +58,7 @@ let create ?(frames = 8192) ?(costs = Costs.default) () =
     cr = Cr.create ();
     tlb = Tlb.create ();
     clock;
-    costs;
+    costs = Costs.default;
     iommu = Iommu.create ();
     cpu = Cpu_state.create ();
     cur_cpu = 0;
@@ -193,10 +193,6 @@ let translate_fast t ~ring ~kind va =
     coherence_check_va t ~op:"mmu_access" va
   end;
   r
-
-let translate t ~ring ~kind va =
-  let r = translate_fast t ~ring ~kind va in
-  if r >= 0 then Ok (r lsr 1) else Error !(t.mmu_fault)
 
 let read_u8 t ~ring va =
   let r = translate_fast t ~ring ~kind:Fault.Read va in
@@ -404,8 +400,3 @@ let read_idt_entry t vector =
   match idt_entry_va t vector with
   | None -> Error (Fault.General_protection "no IDT loaded")
   | Some va -> kread_u64 t va
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>%a@,%a@,cycles=%d tlb(h=%d m=%d)@]" Cr.pp t.cr
-    Cpu_state.pp t.cpu (Clock.cycles t.clock) (Tlb.hits t.tlb)
-    (Tlb.misses t.tlb)

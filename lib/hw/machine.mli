@@ -103,7 +103,7 @@ type t = {
           test.  Tracing never charges simulated cycles. *)
 }
 
-val create : ?frames:int -> ?costs:Costs.t -> unit -> t
+val create : ?frames:int -> unit -> t
 (** Fresh machine with paging disabled; [frames] defaults to 8192
     (32 MiB). *)
 
@@ -116,23 +116,11 @@ val count_ev : t -> Nktrace.counter -> unit
     Counters are always live; the cycle-stamped ring entry is recorded
     only while tracing is enabled.  Never charges simulated cycles. *)
 
-val translate :
-  t -> ring:Mmu.ring -> kind:Fault.access_kind -> Addr.va -> (Addr.pa, Fault.t) result
-(** Permission-checked translation; charges a memory access and any
-    walk cost. *)
-
-val translate_fast :
-  t -> ring:Mmu.ring -> kind:Fault.access_kind -> Addr.va -> int
-(** Allocation-free {!translate}: returns [(pa lsl 1) lor hit], or a
-    negative value with the fault left in [mmu_fault].  Identical
-    charges, event counts and coherence checks. *)
-
 val read_u8 : t -> ring:Mmu.ring -> Addr.va -> (int, Fault.t) result
 val write_u8 : t -> ring:Mmu.ring -> Addr.va -> int -> (unit, Fault.t) result
 val read_u64 : t -> ring:Mmu.ring -> Addr.va -> (int, Fault.t) result
 val write_u64 : t -> ring:Mmu.ring -> Addr.va -> int -> (unit, Fault.t) result
 
-val read_bytes : t -> ring:Mmu.ring -> Addr.va -> int -> (bytes, Fault.t) result
 val write_bytes : t -> ring:Mmu.ring -> Addr.va -> bytes -> (unit, Fault.t) result
 (** Bulk accesses check permissions on every page they touch and charge
     bulk-copy costs. *)
@@ -202,10 +190,6 @@ val coherence_check : t -> op:string -> unit
     of every cached TLB entry against the live page tables.  [op] tags
     the event for violation reports. *)
 
-val coherence_check_va : t -> op:string -> Addr.va -> unit
-(** Fire the installed coherence hook (if any) for a targeted check of
-    the translation covering one VA on the active CPU. *)
-
 val raise_interrupt : t -> int -> unit
 (** Queue an external interrupt vector. *)
 
@@ -215,5 +199,3 @@ val idt_entry_va : t -> int -> Addr.va option
 val read_idt_entry : t -> int -> (Addr.va, Fault.t) result
 (** Handler address stored in IDT slot [vector]; a supervisor read
     through the MMU, as the hardware performs at delivery. *)
-
-val pp : Format.formatter -> t -> unit

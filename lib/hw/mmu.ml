@@ -2,10 +2,6 @@ type ring = Supervisor | User
 
 type ok = { pa : Addr.pa; tlb_hit : bool }
 
-let pp_ring ppf r =
-  Format.pp_print_string ppf
-    (match r with Supervisor -> "supervisor" | User -> "user")
-
 (* Permission rules (paper section 3.2): a user access to a
    supervisor page always faults; a user write additionally needs RW;
    a supervisor write to a read-only page faults iff CR0.WP; fetch

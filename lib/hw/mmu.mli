@@ -51,5 +51,3 @@ val access_fast :
 
 val fault_none : Fault.t
 (** Inert placeholder for initializing [fault] cells. *)
-
-val pp_ring : Format.formatter -> ring -> unit

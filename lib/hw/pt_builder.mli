@@ -21,19 +21,6 @@ val map_page :
     writable, and user-accessible for user-half addresses); effective
     permissions come from the leaf. *)
 
-val map_range :
-  Phys_mem.t ->
-  root:Addr.frame ->
-  alloc_ptp:(unit -> Addr.frame) ->
-  ?on_new_ptp:(level:int -> Addr.frame -> unit) ->
-  va:Addr.va ->
-  first_frame:Addr.frame ->
-  count:int ->
-  Pte.flags ->
-  unit
-(** Map [count] consecutive frames starting at [first_frame] to
-    consecutive pages starting at [va]. *)
-
 val build_direct_map :
   Phys_mem.t ->
   root:Addr.frame ->

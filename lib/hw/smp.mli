@@ -121,15 +121,6 @@ module Executor : sig
 
   val create : smp -> policy -> t
 
-  val step :
-    t ->
-    quantum:(cpu_id -> [ `Ran | `Idle | `Halted ]) ->
-    [ `Stepped of cpu_id | `All_halted ]
-  (** Pick a live CPU under the policy, activate it, drain its IPI
-      mailbox (shootdown acknowledgements land {e before} any process
-      runs there), then run one [quantum] on it.  [`Halted] from the
-      quantum parks the CPU until a [Reschedule] IPI wakes it. *)
-
   val run :
     t ->
     ?max_steps:int ->

@@ -85,7 +85,6 @@ val pack_entry :
   global:bool ->
   int
 
-val pack : entry -> int
 val unpack : int -> entry
 val packed_frame : int -> Addr.frame
 val packed_writable : int -> bool

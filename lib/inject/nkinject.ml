@@ -129,8 +129,3 @@ let injected t s = t.injected.(index s)
 let decisions t s = t.decisions.(index s)
 let total_injected t = Array.fold_left ( + ) 0 t.injected
 let counts t = List.map (fun s -> (site_name s, injected t s)) (sites t)
-
-let pp ppf t =
-  Format.fprintf ppf "inject[seed=%d rate=%.4f %s]" t.seed t.rate
-    (String.concat ","
-       (List.map (fun (n, c) -> Printf.sprintf "%s=%d" n c) (counts t)))

@@ -49,8 +49,6 @@ val create : ?sites:site list -> seed:int -> rate:float -> unit -> t
 
 val seed : t -> int
 val rate : t -> float
-val sites : t -> site list
-(** The enabled sites, in declaration order. *)
 
 val armed : t -> bool
 
@@ -85,5 +83,3 @@ val counts : t -> (string * int) list
 (** [(site_name, injected)] for every enabled site, declaration
     order — the per-run fault schedule summary recorded by the
     [fault_soak] bench section. *)
-
-val pp : Format.formatter -> t -> unit

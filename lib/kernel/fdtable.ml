@@ -28,7 +28,6 @@ let create ?(base = 3) ?(limit = 1 lsl 20) () =
   }
 
 let count t = t.count
-let limit t = t.limit
 
 let grow t needed =
   let cap = max needed (2 * Array.length t.slots) in

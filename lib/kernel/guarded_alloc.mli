@@ -35,10 +35,4 @@ val alloc : t -> (Addr.va, Ktypes.errno) result
 
 val free : t -> Addr.va -> (unit, Ktypes.errno) result
 
-val guarded : t -> bool
 val live : t -> int
-
-val chunk_size : t -> int
-
-val metadata_in_band : t -> bool
-(** True when free-list links live inside the chunks (attackable). *)

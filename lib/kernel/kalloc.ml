@@ -9,27 +9,27 @@ let cost_cpu_free = 8
 let cost_refill = 200
 let cost_flush = 150
 
+(* Chunks per per-CPU batch. *)
+let magazine = 32
+
 type cache = { mutable mag : Addr.va list; mutable n : int }
 
 type t = {
   machine : Machine.t;
   falloc : Frame_alloc.t;
   chunk_size : int;
-  magazine : int;
   mutable free_list : Addr.va list;
   mutable live : int;
   mutable caches : cache array;
 }
 
-let create ?(magazine = 32) machine falloc ~chunk_size =
+let create machine falloc ~chunk_size =
   if chunk_size <= 0 || Addr.page_size mod chunk_size <> 0 then
     invalid_arg "Kalloc.create: chunk size must divide the page size";
-  if magazine < 1 then invalid_arg "Kalloc.create: magazine must be >= 1";
   {
     machine;
     falloc;
     chunk_size;
-    magazine;
     free_list = [];
     live = 0;
     caches = [||];
@@ -66,7 +66,7 @@ let refill t c =
   Machine.count_ev t.machine Nktrace.Slab_cpu_refill;
   let moved = ref 0 in
   while
-    !moved < t.magazine
+    !moved < magazine
     && (t.free_list <> [] || grow t)
   do
     match t.free_list with
@@ -106,10 +106,10 @@ let free t va =
   (* Overflow: return one magazine to the shared list, keeping one
      magazine's worth local so an alloc burst right after a free burst
      still hits. *)
-  if c.n > 2 * t.magazine then begin
+  if c.n > 2 * magazine then begin
     Machine.charge t.machine cost_flush;
     Machine.count_ev t.machine Nktrace.Slab_cpu_flush;
-    for _ = 1 to t.magazine do
+    for _ = 1 to magazine do
       match c.mag with
       | va :: rest ->
           c.mag <- rest;
@@ -119,8 +119,4 @@ let free t va =
     done
   end
 
-let chunk_size t = t.chunk_size
 let live_chunks t = t.live
-
-let cached_chunks t =
-  Array.fold_left (fun acc c -> acc + c.n) 0 t.caches

@@ -17,17 +17,12 @@ open Nkhw
 
 type t
 
-val create : ?magazine:int -> Machine.t -> Frame_alloc.t -> chunk_size:int -> t
-(** [chunk_size] must divide the page size; [magazine] (default 32) is
-    the per-CPU batch size. *)
+val create : Machine.t -> Frame_alloc.t -> chunk_size:int -> t
+(** [chunk_size] must divide the page size; per-CPU batches hold 32
+    chunks. *)
 
 val alloc : t -> Addr.va option
 (** A zeroed chunk, or [None] when the frame pool is exhausted. *)
 
 val free : t -> Addr.va -> unit
-val chunk_size : t -> int
 val live_chunks : t -> int
-
-val cached_chunks : t -> int
-(** Chunks currently parked in per-CPU magazines (free but not on the
-    shared list). *)

@@ -31,6 +31,10 @@ let errno_to_string = function
   | Eagain -> "EAGAIN"
   | Emfile -> "EMFILE"
 
+let ok_or_fail what = function
+  | Ok v -> v
+  | Error e -> failwith (what ^ ": " ^ errno_to_string e)
+
 (* Shared error results, one per errno.  [Error e] with a variable [e]
    conses a fresh box per failure; the dispatcher's errno path returns
    these statically-allocated values instead, so an error return

@@ -21,6 +21,10 @@ type errno =
 
 val errno_to_string : errno -> string
 
+val ok_or_fail : string -> ('a, errno) result -> 'a
+(** The value, or [Failure "what: ERRNO"] — for workload set-up that
+    cannot meaningfully continue past an error. *)
+
 val err : errno -> (int, errno) result
 (** The shared, statically-allocated [Error] result for an errno.
     Returning [err e] instead of [Error e] keeps a dynamic error path

@@ -62,9 +62,6 @@ let create_protected nk =
           next_object = 0;
         }
 
-let protected_labels t =
-  match t.store with Protected _ -> true | Plain _ -> false
-
 let subject_label_va t pid =
   if pid < 0 || pid >= max_subjects then invalid_arg "Mac: pid out of range";
   t.base + pid

@@ -23,8 +23,6 @@ type t
 val create_unprotected : Machine.t -> Frame_alloc.t -> t
 val create_protected : Nested_kernel.State.t -> (t, Nested_kernel.Nk_error.t) result
 
-val protected_labels : t -> bool
-
 val set_subject : t -> Ktypes.pid -> level -> (unit, Ktypes.errno) result
 (** Through the legitimate path: levels may only be lowered once set
     (no re-elevation), mirroring integrity-model discipline.  The
@@ -45,10 +43,6 @@ val object_level : t -> string -> level
     object table is full. *)
 
 val subject_label_va : t -> Ktypes.pid -> Addr.va
-val object_label_va : t -> string -> (Addr.va, Ktypes.errno) result
-(** Where a pid's / object's label byte lives — what an attacker aims
-    a kernel write at.  Allocates the object's slot on first use;
-    [Enospc] when the table is full. *)
 
 val check_write : t -> Ktypes.pid -> string -> (unit, Ktypes.errno) result
 (** No write-up: [Eacces] when the object outranks the subject. *)

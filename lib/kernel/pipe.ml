@@ -62,12 +62,8 @@ let read t want =
   charge_copy t n;
   out
 
-let add_reader t = t.readers <- t.readers + 1
-let add_writer t = t.writers <- t.writers + 1
 let drop_reader t = t.readers <- max 0 (t.readers - 1)
 let drop_writer t = t.writers <- max 0 (t.writers - 1)
-let readers t = t.readers
-let writers t = t.writers
 
 let release t =
   if (not t.released) && t.readers = 0 && t.writers = 0 then begin

@@ -11,26 +11,11 @@ type t
 val capacity : int
 (** 4096 bytes, one page. *)
 
-val create : Machine.t -> Frame_alloc.t -> (t, Ktypes.errno) result
-
 val write : t -> bytes -> int
 (** Bytes actually buffered. *)
 
 val read : t -> int -> bytes
 (** Up to [n] buffered bytes, consumed. *)
-
-val buffered : t -> int
-val space : t -> int
-
-val add_reader : t -> unit
-val add_writer : t -> unit
-val drop_reader : t -> unit
-val drop_writer : t -> unit
-val readers : t -> int
-val writers : t -> int
-
-val release : t -> unit
-(** Return the buffer frame to the pool once both ends are closed. *)
 
 type role = R | W
 type Fdesc.priv += Pipe_end of t * role

@@ -2,7 +2,6 @@ open Nkhw
 
 type t = { machine : Machine.t; kalloc : Kalloc.t; head : Addr.va }
 
-let node_size = 64
 let off_pid = 0
 let off_next = 8
 let off_prev = 16
@@ -79,5 +78,3 @@ let find t pid =
     else go (read m (node + off_next)) (guard - 1)
   in
   go (read m t.head) 100_000
-
-let length t = List.length (pids t)

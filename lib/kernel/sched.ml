@@ -70,10 +70,6 @@ let remove_from_queues t pid =
       List.iter (fun p -> Queue.push p q) (List.rev keep))
     t.queues
 
-let remove t pid =
-  remove_from_queues t pid;
-  Hashtbl.remove t.affinity pid
-
 let set_affinity t pid mask =
   Hashtbl.replace t.affinity pid (mask land all_mask (ncpus t));
   (* If the process now sits on a forbidden queue, re-place it. *)

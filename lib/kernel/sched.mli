@@ -23,7 +23,6 @@ val add : t -> Ktypes.pid -> unit
 val add_on : t -> Ktypes.pid -> int -> unit
 (** Enqueue on a specific CPU (no-op if already queued anywhere). *)
 
-val remove : t -> Ktypes.pid -> unit
 val queue : t -> Ktypes.pid list
 (** All queued pids, CPU 0's queue first. *)
 

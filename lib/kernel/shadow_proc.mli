@@ -24,10 +24,7 @@ val pids : t -> Ktypes.pid list
 (** Live entries, as the shadow-aware [ps] reports them. *)
 
 val entry_count : t -> int
-val capacity : t -> int
 val log : t -> Nested_kernel.Nklog.t
-val wd : t -> Nested_kernel.State.wd
-val base : t -> Addr.va
 val slot_of_pid : t -> Ktypes.pid -> Addr.va option
 (** Address of the live slot holding [pid] (attackers use this to aim
     their [nk_write]). *)

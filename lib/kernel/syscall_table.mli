@@ -20,7 +20,6 @@ val create_native : Machine.t -> table_va:Addr.va -> t
 val create_protected :
   Nested_kernel.State.t -> (t, Nested_kernel.Nk_error.t) result
 
-val va : t -> Addr.va
 val entry_va : t -> int -> Addr.va
 
 val set : t -> sysno:int -> handler_id:int -> (unit, string) result

@@ -4,9 +4,6 @@
     resolves the identifier found in the (possibly protected)
     system-call table through the kernel's registry. *)
 
-val handler_id : int -> int
-(** Identifier conventionally registered for a syscall number. *)
-
 val install_all : Kernel.t -> unit
 (** Register every handler, its argument spec, and populate the
     system-call table.  In the Write_once configuration this performs
@@ -39,7 +36,6 @@ val wait : Kernel.t -> Proc.t -> (int, Ktypes.errno) result
 
 (** [pipe] returns (read end, write end). *)
 val pipe : Kernel.t -> Proc.t -> (int * int, Ktypes.errno) result
-val unlink : Kernel.t -> Proc.t -> string -> (int, Ktypes.errno) result
 val getppid : Kernel.t -> Proc.t -> (int, Ktypes.errno) result
 
 (** Event-driven serving: listen queues, connections, readiness. *)

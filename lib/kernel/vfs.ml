@@ -38,9 +38,6 @@ let create machine =
     free_handles = [];
   }
 
-let add_file t name data =
-  Hashtbl.replace t.files name { data = Some data; size = Bytes.length data }
-
 let add_sized_file t name size =
   Hashtbl.replace t.files name { data = None; size }
 
@@ -145,9 +142,6 @@ let unlink t name =
     Ok ()
   end
   else Error Ktypes.Enoent
-
-let file_count t = Hashtbl.length t.files
-let open_handles t = Hashtbl.length t.handles
 
 type Fdesc.priv += File_handle of handle
 

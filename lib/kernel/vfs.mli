@@ -18,10 +18,6 @@ type handle
 
 val create : Machine.t -> t
 
-val add_file : t -> string -> bytes -> unit
-(** Create or replace a file without charging costs (test/bench
-    setup). *)
-
 val add_sized_file : t -> string -> int -> unit
 (** A file of [n] arbitrary bytes, stored sparsely: reads of it charge
     copy costs but no backing store is materialized. *)
@@ -40,11 +36,6 @@ val read_bytes : t -> handle -> int -> (bytes, Ktypes.errno) result
 val write : t -> handle -> bytes -> (int, Ktypes.errno) result
 val seek : t -> handle -> int -> (unit, Ktypes.errno) result
 val unlink : t -> string -> (unit, Ktypes.errno) result
-val file_count : t -> int
-
-val open_handles : t -> int
-(** Currently open handles (id-recycling makes this the live count,
-    not a high-water mark). *)
 
 type Fdesc.priv += File_handle of handle
 

@@ -62,7 +62,7 @@ let retire_ptp env ptp =
   | Ok () -> if Frame_alloc.owns env.falloc ptp then Frame_alloc.free env.falloc ptp
   | Error (_ : Nested_kernel.Nk_error.t) -> ()
 
-let create ?(domain = 0) env ~kernel_root =
+let create env ~kernel_root =
   match Frame_alloc.alloc env.falloc with
   | None -> Error Ktypes.Enomem
   | Some root -> (
@@ -108,9 +108,10 @@ let create ?(domain = 0) env ~kernel_root =
           let asid_pair =
             match env.asids with
             | Some pool -> (
-                (* A domain draws only from its own ASID partition; an
-                   exhausted partition is EAGAIN, never a peer's tag. *)
-                match Asid_pool.alloc ~domain pool with
+                (* A new space belongs to the host until adopted and
+                   draws from the host partition; an exhausted
+                   partition is EAGAIN, never a peer's tag. *)
+                match Asid_pool.alloc ~domain:0 pool with
                 | Some pair -> Ok pair
                 | None -> Error Ktypes.Eagain)
             | None -> Ok (0, 0)
@@ -138,7 +139,7 @@ let create ?(domain = 0) env ~kernel_root =
                   next_mmap = user_mmap_base;
                   asid;
                   asid_stamp;
-                  domain;
+                  domain = 0;
                 }))
 
 (* The ASID to switch under, revalidated against the pool: if the slot

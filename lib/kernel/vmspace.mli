@@ -38,15 +38,13 @@ type t = {
 }
 
 val user_text_base : Addr.va
-val user_mmap_base : Addr.va
 val user_stack_top : Addr.va
 
-val create :
-  ?domain:int -> env -> kernel_root:Addr.frame -> (t, Ktypes.errno) result
-(** New address space sharing the kernel half of [kernel_root];
-    allocates an ASID from [domain]'s partition (default 0, the host)
-    when the env carries a pool.  [Error Eagain] when the domain's
-    partition is empty — the pool never borrows a peer's tag. *)
+val create : env -> kernel_root:Addr.frame -> (t, Ktypes.errno) result
+(** New address space sharing the kernel half of [kernel_root], owned
+    by the host (domain 0); allocates an ASID from the host's partition
+    when the env carries a pool.  [Error Eagain] when that partition is
+    empty — the pool never borrows a peer's tag. *)
 
 val ensure_asid : env -> t -> int option
 (** The ASID to tag the next switch with, re-allocating from the

@@ -66,16 +66,13 @@ let nk_domain_enter st ~domain ~token = Domain.enter st ~domain ~token
 let nk_domain_destroy st ~domain = Domain.destroy st ~domain
 let nk_domain_adopt st ~domain ~root = Domain.adopt_tree st ~domain ~root
 let nk_domain_current = Domain.current
-let nk_domain_live = Domain.live
 let nk_domain_denials = Domain.denials
-let nk_domain_set_policies st ~domain names = Domain.set_policies st ~domain names
 let nk_pipe_open st ?cap ~src ~dst () = Domain.pipe_open st ?cap ~src ~dst ()
 let nk_pipe_send st ~dst word = Domain.pipe_send st ~dst word
 let nk_pipe_recv st ~src = Domain.pipe_recv st ~src
 let nk_request_shootdown = Domain.request_shootdown
 let nk_frame_released = Domain.frame_released
 let nk_frame_owner (st : t) f = Pgdesc.owner st.State.descs f
-let nk_flush_domain_deferred = Vmmu.flush_domain_deferred
 
 (* Uniform enable/disable/snapshot surface over the out-of-band
    diagnostic instruments (none of them charge simulated cycles). *)
@@ -110,12 +107,10 @@ module Diagnostics = struct
 end
 
 let machine (st : t) = st.State.machine
-let trap_gate_va (st : t) = st.State.gate.Gate.trap_va
 let outer_first_frame = Init.outer_first_frame
 let denied_writes (st : t) = st.State.denied_writes
 let trap_overhead (st : t) = Gate.trap_overhead st.State.machine st.State.gate
 let nk_null st = State.with_gate st (fun () -> Ok ())
-let strict_gates (st : t) v = st.State.gate.Gate.strict <- v
 
 let set_inject (st : t) inj =
   st.State.gate.Gate.inject <- inj;

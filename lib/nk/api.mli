@@ -99,10 +99,7 @@ val nk_domain_adopt :
   t -> domain:int -> root:Addr.frame -> (unit, Nk_error.t) result
 
 val nk_domain_current : t -> int
-val nk_domain_live : t -> int -> bool
 val nk_domain_denials : t -> int -> int
-val nk_domain_set_policies :
-  t -> domain:int -> string list option -> (unit, Nk_error.t) result
 
 val nk_pipe_open :
   t -> ?cap:int -> src:int -> dst:int -> unit -> (unit, Nk_error.t) result
@@ -117,7 +114,6 @@ val nk_frame_released : t -> Addr.frame -> unit
 (** Owner-release hook for the outer frame allocator's on-free path. *)
 
 val nk_frame_owner : t -> Addr.frame -> int
-val nk_flush_domain_deferred : t -> int -> unit
 
 (** Out-of-band diagnostic instruments, behind one uniform
     enable/disable/snapshot surface.  Neither instrument ever charges
@@ -155,7 +151,6 @@ module Diagnostics : sig
 end
 
 val machine : t -> Machine.t
-val trap_gate_va : t -> Addr.va
 val outer_first_frame : t -> Addr.frame
 val denied_writes : t -> int
 
@@ -165,11 +160,6 @@ val trap_overhead : t -> int
 val nk_null : t -> (unit, Nk_error.t) result
 (** An empty nested-kernel operation: a full entry/exit gate crossing
     around a null body — the paper's Table 3 microbenchmark. *)
-
-val strict_gates : t -> bool -> unit
-(** Force every gate crossing to be interpreted instruction by
-    instruction (slower, used by security tests), or allow the
-    measured-cost fast path (default). *)
 
 val set_inject : t -> Nkinject.t option -> unit
 (** Attach (or detach) a fault injector to the nested kernel's own

@@ -18,8 +18,6 @@ let denials (st : State.t) domain =
   | Some d -> d.State.dom_denials
   | None -> 0
 
-let live (st : State.t) domain = State.domain_live st domain
-
 let create (st : State.t) =
   State.with_gate st (fun () ->
       if st.State.cur_domain <> 0 then

@@ -12,7 +12,6 @@ open Nkhw
 val current : State.t -> int
 (** Domain mediated operations currently run on behalf of. *)
 
-val live : State.t -> int -> bool
 val denials : State.t -> int -> int
 (** Cross-domain rejections attributed to a domain so far. *)
 
@@ -43,8 +42,6 @@ val destroy : State.t -> domain:int -> (int, Nk_error.t) result
     marks, and kills its token.  Returns the number of frames that
     still carried the owner mark — nonzero means the outer kernel
     leaked frames. *)
-
-val default_pipe_cap : int
 
 val pipe_open :
   State.t -> ?cap:int -> src:int -> dst:int -> unit ->

@@ -17,10 +17,6 @@ type boot_layout = {
   ptp_pool_frames : int;  (** boot page-table pages *)
 }
 
-val default_layout : total_frames:int -> boot_layout
-(** Sizes the boot PTP pool for the direct map of [total_frames] and
-    gives the protected heap 256 frames (1 MiB). *)
-
 val boot : ?layout:boot_layout -> Machine.t -> (State.t, string) result
 (** Initialize the nested kernel on a fresh machine.  On return the
     machine runs in long mode with WP enforced and the outer kernel

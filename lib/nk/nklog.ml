@@ -34,6 +34,3 @@ let writes_touching t ~offset ~len =
       let rlen = String.length r.data in
       r.offset < offset + len && offset < r.offset + rlen)
     (records t)
-
-let pp_record ppf r =
-  Format.fprintf ppf "#%d @%d: %d bytes" r.seq r.offset (String.length r.data)

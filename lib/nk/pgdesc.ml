@@ -63,11 +63,6 @@ let table_links t f =
 let data_maps t f =
   List.filter (fun m -> m.kind = Data_map) (get t f).mappings
 
-let is_nk_owned t f =
-  match page_type t f with
-  | Nk_code | Nk_data | Nk_stack | Protected_data -> true
-  | Unused | Ptp _ | Outer_code | Outer_data | User -> false
-
 let is_write_protected_type t f =
   match page_type t f with
   | Ptp _ | Nk_code | Nk_data | Nk_stack | Protected_data | Outer_code -> true

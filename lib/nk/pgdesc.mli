@@ -61,9 +61,6 @@ val table_links : t -> Addr.frame -> mapping list
 
 val data_maps : t -> Addr.frame -> mapping list
 
-val is_nk_owned : t -> Addr.frame -> bool
-(** Nested-kernel code, data, stack or protected client data. *)
-
 val is_write_protected_type : t -> Addr.frame -> bool
 (** Pages whose every mapping must be read-only while the outer kernel
     runs: PTPs, all nested-kernel pages, protected data, and validated

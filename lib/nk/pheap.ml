@@ -75,6 +75,4 @@ let free t va =
 let block_size t va = Hashtbl.find_opt t.live va
 let allocated_bytes t = t.allocated
 let free_bytes t = t.size - t.allocated
-let base t = t.base
-let size t = t.size
 let contains t va = va >= t.base && va < t.base + t.size

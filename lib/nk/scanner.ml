@@ -290,11 +290,6 @@ let deprivilege items =
   in
   loop items no_stats 0
 
-let pp_finding ppf f =
-  Format.fprintf ppf "%s %a at %#x"
-    (if f.explicit then "explicit" else "implicit")
-    Insn.pp_protected_kind f.kind f.offset
-
 let pp_summary ppf s =
   Format.fprintf ppf
     "total=%d explicit=%d implicit(cr0=%d, other-cr=%d, wrmsr=%d)" s.total

@@ -53,5 +53,4 @@ val deprivilege :
     implicit occurrence in an instruction the rewriter cannot
     transform. *)
 
-val pp_finding : Format.formatter -> finding -> unit
 val pp_summary : Format.formatter -> summary -> unit

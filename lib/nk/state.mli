@@ -123,7 +123,6 @@ val deferred_live : t -> int
 (** Number of pending lazy-invalidation records. *)
 
 val register_wd : t -> wd -> unit
-val find_wd : t -> int -> wd option
 
 val entry_va_of_pte : ptp:Addr.frame -> index:int -> Addr.va
 (** Kernel direct-map virtual address of a page-table entry; nested

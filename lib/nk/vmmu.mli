@@ -70,12 +70,6 @@ val flush_domain_deferred : State.t -> int -> unit
 (** Drain every deferred record one domain's unmaps queued — the
     teardown barrier, so no tenant staleness survives the tenant. *)
 
-val check_owner :
-  State.t -> op:string -> Addr.frame -> (unit, Nk_error.t) result
-(** I14 ownership check for the current domain: [Ok] for the host, for
-    host-owned (shared) frames, and for the domain's own frames;
-    otherwise a counted [Cross_domain] denial. *)
-
 val remove_ptp : State.t -> Addr.frame -> (unit, Nk_error.t) result
 (** [nk_remove_PTP]: retire a PTP.  All 512 of its entries must be
     clear and no table may still link it; its direct-map mapping

@@ -27,9 +27,7 @@ let per_request_rtt_s = 120.0e-6 (* connection turn-around on the LAN *)
 let sendfile_block = 64 * 1024
 let req_wire_bytes = 256 (* one GET on the wire *)
 
-let ok = function
-  | Ok v -> v
-  | Error e -> failwith ("apache: " ^ Ktypes.errno_to_string e)
+let ok r = Ktypes.ok_or_fail "apache" r
 
 let request_counter = ref 0
 

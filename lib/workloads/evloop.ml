@@ -40,12 +40,9 @@ type t = {
   conns : (int, conn_state) Hashtbl.t;
   mutable accepted : int;
   mutable requests : int;
-  mutable closed : int;
 }
 
-let ok = function
-  | Ok v -> v
-  | Error e -> failwith ("evloop: " ^ Ktypes.errno_to_string e)
+let ok r = Ktypes.ok_or_fail "evloop" r
 
 let create ?lfd ?(et = false) ?(backlog = 128) ?(tx_block = 16 * 1024)
     ?(accept_burst = 64) k p a =
@@ -78,16 +75,11 @@ let create ?lfd ?(et = false) ?(backlog = 128) ?(tx_block = 16 * 1024)
     conns = Hashtbl.create 64;
     accepted = 0;
     requests = 0;
-    closed = 0;
   }
 
 let listener t = t.lst
-let epfd t = t.epfd
-let lfd t = t.lfd
 let accepted t = t.accepted
 let requests t = t.requests
-let closed t = t.closed
-let live t = Hashtbl.length t.conns
 
 let conn_of t fd =
   match Proc.fd_handle t.p fd with
@@ -104,8 +96,7 @@ let close_conn t fd cs =
   ignore (Syscalls.epoll_ctl_del t.k t.p ~epfd:t.epfd ~fd);
   ignore (Syscalls.close t.k t.p fd);
   Hashtbl.remove t.conns fd;
-  ignore cs;
-  t.closed <- t.closed + 1
+  ignore cs
 
 (* Push queued response bytes until done or the window fills; a full
    window subscribes EPOLLOUT, drain re-arms via the client's poke. *)

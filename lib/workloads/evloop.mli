@@ -52,10 +52,6 @@ val step : ?maxev:int -> t -> int
 (** One [epoll_wait] plus handling; returns events delivered. *)
 
 val listener : t -> Socket.listener
-val epfd : t -> int
-val lfd : t -> int
 
 val accepted : t -> int
 val requests : t -> int
-val closed : t -> int
-val live : t -> int

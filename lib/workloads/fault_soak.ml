@@ -33,18 +33,17 @@ let next_rand state =
   state := x;
   x
 
-let run ?(ops = 20000) ?(rate = 0.01) ?(sites = Nkinject.all_sites)
-    ?(frames = 4096) ~seed () =
-  let inj = Nkinject.create ~sites ~seed ~rate () in
-  let k =
-    Os.boot ~frames ~coherence:true ~trace:true ~inject:inj Config.Perspicuos
+let run ?(ops = 20000) ?(rate = 0.01) ~seed () =
+  let inj = Nkinject.create ~seed ~rate () in
+  let h, k =
+    Harness.start (fun () ->
+        Os.boot ~frames:4096 ~trace:true ~inject:inj Config.Perspicuos)
   in
   let m = k.Kernel.machine in
   let nk = Option.get k.Kernel.nk in
   let p = Kernel.current_proc k in
   let completed = ref 0 and degraded = ref 0 in
   let escaped = ref 0 and escapes = ref [] in
-  let violations = ref 0 in
   (* The working set comes up fault-free: the soak measures behaviour
      under injection, not whether setup happens to survive it. *)
   Nkinject.set_armed inj false;
@@ -55,13 +54,13 @@ let run ?(ops = 20000) ?(rate = 0.01) ?(sites = Nkinject.all_sites)
   Nkinject.set_armed inj true;
   (* Every op must end in exactly one of three ways: a value, an
      errno, or — the failure the soak exists to catch — an escaped
-     exception.  Oracle violations are counted separately so a stale
-     translation shows up as a coherence bug, not a generic escape. *)
+     exception.  The harness's oracle counts violations instead of
+     raising, so a stale translation shows up as a coherence bug, not
+     a generic escape. *)
   let guard f =
     match f () with
     | Ok _ -> incr completed
     | Error (_ : Ktypes.errno) -> incr degraded
-    | exception Coherence.Violation vs -> violations := !violations + List.length vs
     | exception e ->
         incr escaped;
         if List.length !escapes < 8 then escapes := Printexc.to_string e :: !escapes
@@ -133,19 +132,7 @@ let run ?(ops = 20000) ?(rate = 0.01) ?(sites = Nkinject.all_sites)
   (* Disarm for the final audits: they judge the state the faults left
      behind, and must not themselves be perturbed. *)
   Nkinject.set_armed inj false;
-  (* Drain the deferred-unmap queue so the final audit covers a fully
-     settled machine: every lazily deferred flush must by now have
-     been issued (deferred = drained), or the last batch was lost. *)
-  Nested_kernel.Api.nk_flush_all_deferred nk;
-  let counter ev = Nktrace.counter_value m.Machine.trace ev in
-  let flush_deferred = counter Nktrace.Flush_deferred in
-  let flush_drained = counter Nktrace.Flush_on_reuse in
-  let deferred_live = Nested_kernel.Api.nk_deferred_live nk in
-  let invariant_failures = List.length (Nested_kernel.Api.audit nk) in
-  let final_violations =
-    Nested_kernel.Api.Diagnostics.Coherence.snapshot ~op:"soak-final" nk
-  in
-  violations := !violations + List.length final_violations;
+  let coherence_violations, invariant_failures = Harness.finish h ~op:"soak-final" in
   {
     seed;
     rate;
@@ -156,47 +143,52 @@ let run ?(ops = 20000) ?(rate = 0.01) ?(sites = Nkinject.all_sites)
     total_injected = Nkinject.total_injected inj;
     escaped_exceptions = !escaped;
     escapes = List.rev !escapes;
-    coherence_violations = !violations;
+    coherence_violations;
     invariant_failures;
-    flush_deferred;
-    flush_drained;
-    deferred_live;
+    flush_deferred = Harness.delta h Nktrace.Flush_deferred;
+    flush_drained = Harness.delta h Nktrace.Flush_on_reuse;
+    deferred_live = Nested_kernel.Api.nk_deferred_live nk;
     cycles = Clock.cycles m.Machine.clock;
   }
 
+(* Zero escapes, zero oracle violations, zero invariant failures, and
+   the deferred-unmap books balance: every lazily deferred flush was
+   eventually drained with nothing left queued. *)
 let survived r =
   r.escaped_exceptions = 0 && r.coherence_violations = 0
   && r.invariant_failures = 0
   && r.flush_deferred = r.flush_drained
   && r.deferred_live = 0
 
+let fields =
+  Harness.
+    [
+      int "seed" ~col:"seed" (fun r -> r.seed);
+      field "rate" ~col:"rate" (fun r -> Json.Num (Printf.sprintf "%g" r.rate));
+      int "ops" ~col:"ops" (fun r -> r.ops);
+      int "completed" ~col:"completed" (fun r -> r.completed);
+      int "degraded" ~col:"degraded (errno)" (fun r -> r.degraded);
+      int "total_injected" ~col:"injected" (fun r -> r.total_injected);
+      field "injected" (fun r ->
+          Json.Obj (List.map (fun (site, n) -> (site, Json.int n)) r.injected));
+      int "escaped_exceptions" ~col:"escaped" (fun r -> r.escaped_exceptions);
+      int "coherence_violations" ~col:"oracle" (fun r -> r.coherence_violations);
+      int "invariant_failures" ~col:"audit" (fun r -> r.invariant_failures);
+      col "deferred/drained" (fun r ->
+          Printf.sprintf "%d/%d" r.flush_deferred r.flush_drained);
+      field "survived" ~col:"survived" (fun r -> Json.Bool (survived r));
+      int "cycles" ~col:"cycles" (fun r -> r.cycles);
+    ]
+
 let to_table r =
-  {
-    Stats.title = "Fault soak: graceful degradation under injected faults";
-    columns = [ "metric"; "value" ];
-    rows =
+  Harness.table ~title:"Fault soak: graceful degradation under injected faults"
+    ~notes:
       [
-        [ "ops"; string_of_int r.ops ];
-        [ "completed"; string_of_int r.completed ];
-        [ "degraded (errno)"; string_of_int r.degraded ];
-        [ "faults injected"; string_of_int r.total_injected ];
-        [ "escaped exceptions"; string_of_int r.escaped_exceptions ];
-        [ "coherence violations"; string_of_int r.coherence_violations ];
-        [ "invariant failures"; string_of_int r.invariant_failures ];
-        [
-          "deferred flushes (queued/drained)";
-          Printf.sprintf "%d/%d" r.flush_deferred r.flush_drained;
-        ];
-        [ "cycles"; string_of_int r.cycles ];
+        "injected by site: "
+        ^ String.concat ", "
+            (List.filter_map
+               (fun (site, n) ->
+                 if n = 0 then None else Some (Printf.sprintf "%s %d" site n))
+               r.injected);
       ]
-      @ List.filter_map
-          (fun (site, n) ->
-            if n = 0 then None
-            else Some [ "  injected@" ^ site; string_of_int n ])
-          r.injected;
-    notes =
-      [
-        Printf.sprintf "seed %d, per-site rate %.3f; survived: %b" r.seed
-          r.rate (survived r);
-      ];
-  }
+    fields [ r ]

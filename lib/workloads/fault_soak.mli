@@ -1,7 +1,8 @@
 (** Fault-injection soak: the LMBench-style op mix (null syscalls,
     open/close, mmap/munmap, fork/exit/wait, signals) run under a
-    deterministic {!Nkinject} injector with the TLB-coherence oracle
-    and the nested-kernel invariant audit enabled.
+    deterministic {!Nkinject} injector as a checked run ({!Harness}):
+    the TLB-coherence oracle is on throughout and the nested-kernel
+    invariants are audited at the end.
 
     The pass criterion is graceful degradation: every injected fault
     surfaces as an errno to the caller (or is absorbed), never as an
@@ -27,18 +28,11 @@ type result = {
   cycles : int;  (** final simulated-clock reading *)
 }
 
-val run :
-  ?ops:int -> ?rate:float -> ?sites:Nkinject.site list -> ?frames:int ->
-  seed:int -> unit -> result
-(** Boot Perspicuos with [frames] physical frames (default 4096, small
-    enough that genuine exhaustion joins the injected faults), run
-    [ops] operations (default 20000) at per-site probability [rate]
-    (default 0.01) over [sites] (default: all). *)
+val run : ?ops:int -> ?rate:float -> seed:int -> unit -> result
+(** Boot Perspicuos with 4096 physical frames (small enough that
+    genuine exhaustion joins the injected faults), run [ops] operations
+    (default 20000) at per-site probability [rate] (default 0.01) over
+    every injection site. *)
 
-val survived : result -> bool
-(** Zero escapes, zero oracle violations, zero invariant failures, and
-    the deferred-unmap books balance: every lazily deferred flush was
-    eventually drained ([flush_deferred = flush_drained]) with nothing
-    left queued. *)
-
+val fields : result Harness.field list
 val to_table : result -> Stats.table

@@ -11,9 +11,7 @@ type result = {
 let compile_cycles = 4_300_000 (* user CPU per translation unit *)
 let read_block = 64 * 1024
 
-let ok = function
-  | Ok v -> v
-  | Error e -> failwith ("kbuild: " ^ Ktypes.errno_to_string e)
+let ok r = Ktypes.ok_or_fail "kbuild" r
 
 let compile_unit k (make : Proc.t) ~index =
   let cc_pid = ok (Syscalls.fork k make) in

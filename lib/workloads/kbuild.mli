@@ -19,7 +19,4 @@ type result = {
 val run : ?units:int -> unit -> result list
 (** Build with [units] translation units (default 24). *)
 
-val paper : (Config.t * float) list
-(** Table 4: overhead percentages over native. *)
-
 val to_table : result list -> Stats.table

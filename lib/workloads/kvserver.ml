@@ -71,5 +71,10 @@ let create ?lfd ?et ?backlog ?accept_burst k p =
   t
 
 let ev t = t.ev
+
+let load m t ~seed ~conns ~active ~slow ~ramp_per_tick =
+  Loadgen.create m (Evloop.listener t.ev)
+    { Loadgen.seed; conns; active; slow; slow_chunk = req_bytes / 8;
+      ramp_per_tick; keepalive = 8; think_max = 16; gen }
 let gets t = t.gets
 let sets t = t.sets

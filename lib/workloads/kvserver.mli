@@ -7,10 +7,6 @@ open Outer_kernel
     request payload, which the model never materializes). *)
 
 val req_bytes : int
-val value_bytes : int
-val stored_bytes : int
-val cookie_get : int
-val cookie_set : int
 
 val gen : (int -> int) -> int * int * int
 (** Request generator for {!Loadgen.config.gen}: 90% GET / 10% SET. *)
@@ -23,5 +19,13 @@ val create :
 (** A worker; [lfd] shares an existing listener across SMP workers. *)
 
 val ev : t -> Evloop.t
+
+val load :
+  Nkhw.Machine.t -> t -> seed:int -> conns:int -> active:int -> slow:int ->
+  ramp_per_tick:int -> Loadgen.t
+(** Open-loop clients ({!gen}) on the server's listener: keep-alive
+    chains of 8 requests, 1..16 idle ticks between them, stragglers
+    dribbling an eighth of a request per tick. *)
+
 val gets : t -> int
 val sets : t -> int

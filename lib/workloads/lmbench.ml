@@ -8,9 +8,7 @@ type bench = {
       (** returns the per-iteration thunk *)
 }
 
-let ok = function
-  | Ok v -> v
-  | Error e -> failwith ("lmbench: syscall failed: " ^ Ktypes.errno_to_string e)
+let ok r = Ktypes.ok_or_fail "lmbench: syscall failed" r
 
 (* Give the parent a working set comparable to a small process image
    so fork has real pages to copy-on-write. *)
@@ -149,39 +147,31 @@ let benches =
     fork_exec;
   ]
 
-let measure ?iterations config ~batched bench =
-  let k = Os.boot ~batched config in
+(* Boot, warm up, then run the measured iterations; returns the
+   machine, the iteration count and the cycles they took. *)
+let drive ?iterations ?(trace = false) config ~batched bench =
+  let k = Os.boot ~batched ~trace config in
   let m = k.Kernel.machine in
-  let p = Kernel.current_proc k in
-  let thunk = bench.setup k p in
+  let thunk = bench.setup k (Kernel.current_proc k) in
   let n = Option.value ~default:bench.iterations iterations in
-  let warm = max 2 (n / 20) in
-  for _ = 1 to warm do
-    thunk ()
-  done;
-  let before = Clock.cycles m.Machine.clock in
-  for _ = 1 to n do
-    thunk ()
-  done;
-  let cycles = Clock.cycles m.Machine.clock - before in
-  Costs.cycles_to_us cycles /. float_of_int n
-
-let measure_traced ?iterations config ~batched bench =
-  let k = Os.boot ~batched ~trace:true config in
-  let m = k.Kernel.machine in
-  let p = Kernel.current_proc k in
-  let thunk = bench.setup k p in
-  let n = Option.value ~default:bench.iterations iterations in
-  let warm = max 2 (n / 20) in
-  for _ = 1 to warm do
+  for _ = 1 to max 2 (n / 20) do
     thunk ()
   done;
   (* Drop warm-up samples so the histograms cover the measured
      iterations only. *)
-  Nktrace.clear m.Machine.trace;
+  if trace then Nktrace.clear m.Machine.trace;
+  let before = Clock.cycles m.Machine.clock in
   for _ = 1 to n do
     thunk ()
   done;
+  (m, n, Clock.cycles m.Machine.clock - before)
+
+let measure ?iterations config ~batched bench =
+  let _, n, cycles = drive ?iterations config ~batched bench in
+  Costs.cycles_to_us cycles /. float_of_int n
+
+let measure_traced ?iterations config ~batched bench =
+  let m, _, _ = drive ?iterations ~trace:true config ~batched bench in
   Nktrace.snapshot m.Machine.trace
 
 type figure4_row = {
@@ -193,14 +183,14 @@ type figure4_row = {
 let nested_configs =
   [ Config.Perspicuos; Config.Append_only; Config.Write_once; Config.Write_log ]
 
-let figure4 ?(batched = false) () =
+let figure4 () =
   List.map
     (fun bench ->
       let native_us = measure Config.Native ~batched:false bench in
       let relative =
         List.map
           (fun config ->
-            let us = measure config ~batched bench in
+            let us = measure config ~batched:false bench in
             (config, us /. native_us))
           nested_configs
       in

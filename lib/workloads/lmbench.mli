@@ -42,10 +42,6 @@ type figure4_row = {
       (** time relative to native, per nested configuration *)
 }
 
-val figure4 : ?batched:bool -> unit -> figure4_row list
-
-val paper_figure4 : (string * float) list
-(** Approximate relative slowdowns read off the paper's Figure 4 for
-    the base PerspicuOS bars (used for shape comparison). *)
+val figure4 : unit -> figure4_row list
 
 val to_table : figure4_row list -> Stats.table

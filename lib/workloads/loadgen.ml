@@ -200,7 +200,6 @@ let tick t =
     step_client t t.clients.(i)
   done
 
-let live t = t.live_now
 let live_peak t = t.live_peak
 let completed t = t.completed
 let failed_connects t = t.failed_connects

@@ -36,7 +36,6 @@ type t
 val create : Machine.t -> Socket.listener -> config -> t
 val tick : t -> unit
 
-val live : t -> int
 val live_peak : t -> int
 val completed : t -> int
 val failed_connects : t -> int

@@ -22,22 +22,13 @@
 open Nkhw
 open Outer_kernel
 
-type tenant = {
-  t_domain : int;
-  t_pid : Ktypes.pid;
-  t_completed : int;  (* requests answered end-to-end *)
-  t_gets : int;
-  t_sets : int;
-  t_live_peak : int;
-}
-
 type point = {
   config : Config.t;
   tenants : int;
   conns : int;  (* per-tenant live-connection target *)
   seed : int;
   steps : int;
-  per_tenant : tenant list;
+  per_tenant_completed : int list;  (* by tenant server pid *)
   completed : int;  (* aggregate *)
   p50 : int;  (* aggregate request latency, simulated cycles *)
   p99 : int;
@@ -54,14 +45,6 @@ type point = {
   audit_failures : int;
 }
 
-let default_seed = 42
-
-let env_seed () =
-  match Sys.getenv_opt "NKSIM_SCHED_SEED" with
-  | Some s -> ( match int_of_string_opt s with Some n -> n | None -> default_seed)
-  | None -> default_seed
-
-let tenant_counts = [ 4; 8; 16 ]
 let configs = [ Config.Perspicuos; Config.Native; Config.Hyper ]
 let cpus = 8
 let default_conns = 400
@@ -76,30 +59,19 @@ let default_conns = 400
 let scratch_pages = 8
 let scratch_iters = 3
 
-let ok = function
-  | Ok v -> v
-  | Error e -> failwith ("multitenant: " ^ Ktypes.errno_to_string e)
+let ok r = Ktypes.ok_or_fail "multitenant" r
 
-let run_one ?(seed = default_seed) ?(tenants = 8) ?(conns = default_conns)
-    ?(instrument = ignore) ~config () =
-  let host0 = Sys.time () in
+let run_one ?(seed = Harness.default_seed) ?(tenants = 8)
+    ?(conns = default_conns) ?instrument ~config () =
   let isolated = Config.is_nested config in
-  let k =
-    Os.boot ~batched:true ~trace:true ~cpus ~frames:32768
-      ~domains:(if isolated then tenants else 0)
-      ~pcid:(config <> Config.Hyper)
-      config
+  let h, k =
+    Harness.start ?instrument (fun () ->
+        Os.boot ~batched:true ~trace:true ~cpus ~frames:32768
+          ~domains:(if isolated then tenants else 0)
+          ~pcid:(config <> Config.Hyper)
+          config)
   in
   let m = k.Kernel.machine in
-  let trace = m.Machine.trace in
-  let violations = ref 0 in
-  (match k.Kernel.nk with
-  | Some nk ->
-      Nested_kernel.Api.Diagnostics.Coherence.enable
-        ~on_violation:(fun vs -> violations := !violations + List.length vs)
-        nk
-  | None -> ());
-  instrument k;
   let sched = Sched.create k in
   if isolated then Sched.set_domain_credits sched ~quantum:4;
   let p0 = Kernel.current_proc k in
@@ -108,8 +80,7 @@ let run_one ?(seed = default_seed) ?(tenants = 8) ?(conns = default_conns)
      adopts the process's page-table tree into the domain, so from
      here on every mediated MMU update it causes is checked against
      the ownership lattice. *)
-  let servers = Hashtbl.create tenants in
-  let loads = Hashtbl.create tenants in
+  let members = Hashtbl.create tenants in
   let domains = Array.make tenants 0 in
   for i = 0 to tenants - 1 do
     let domain = if isolated then ok (Kernel.create_domain k) else 0 in
@@ -118,23 +89,12 @@ let run_one ?(seed = default_seed) ?(tenants = 8) ?(conns = default_conns)
     let p = Option.get (Kernel.proc k pid) in
     if isolated then ok (Kernel.adopt_domain k p ~domain);
     let srv = Kvserver.create ~backlog:4096 ~accept_burst:64 k p in
-    Hashtbl.replace servers pid srv;
     let lg =
-      Loadgen.create m
-        (Evloop.listener (Kvserver.ev srv))
-        {
-          Loadgen.seed = seed + (31 * i);
-          conns;
-          active = max 16 (conns / 8);
-          slow = max 1 (conns / 200);
-          slow_chunk = Kvserver.req_bytes / 8;
-          ramp_per_tick = max 8 (conns / 50);
-          keepalive = 8;
-          think_max = 16;
-          gen = Kvserver.gen;
-        }
+      Kvserver.load m srv ~seed:(seed + (31 * i)) ~conns
+        ~active:(max 16 (conns / 8)) ~slow:(max 1 (conns / 200))
+        ~ramp_per_tick:(max 8 (conns / 50))
     in
-    Hashtbl.replace loads pid lg;
+    Hashtbl.replace members pid (srv, lg, i);
     Sched.add_on sched pid (i mod cpus)
   done;
   (* The only legal inter-tenant channel: neighbor pipes, a heartbeat
@@ -149,23 +109,17 @@ let run_one ?(seed = default_seed) ?(tenants = 8) ?(conns = default_conns)
              ())
       done
   | _ -> ());
-  let counter name = Nktrace.counter_value trace (Nktrace.Custom name) in
-  let denied0 = counter "xdom_denied" in
-  let vmcall0 = counter "vmcall" in
-  let epoch0 = counter "sched_epoch" in
-  let cyc0 = Clock.cycles m.Machine.clock in
+  Harness.open_window h;
   let steps = (600 + (conns / 4)) * max 1 (tenants / 2) in
   let taken =
     Sched.run_smp sched
       ~policy:(Nkhw.Smp.Executor.Seeded seed)
       ~steps
       (fun ~cpu:_ pid ->
-        match (Hashtbl.find_opt servers pid, Kernel.proc k pid) with
-        | Some srv, Some p ->
+        match (Hashtbl.find_opt members pid, Kernel.proc k pid) with
+        | Some (srv, lg, i), Some p ->
             (* This tenant's slice of the outside world advances... *)
-            (match Hashtbl.find_opt loads pid with
-            | Some lg -> Loadgen.tick lg
-            | None -> ());
+            Loadgen.tick lg;
             (* ...its server runs one turn of its readiness loop... *)
             ignore (Evloop.step (Kvserver.ev srv) ~maxev:64);
             (* ...and it churns its mmap scratch, putting the MMU
@@ -185,17 +139,8 @@ let run_one ?(seed = default_seed) ?(tenants = 8) ?(conns = default_conns)
                behind). *)
             (match k.Kernel.nk with
             | Some nk when isolated && tenants > 1 ->
-                let d = Kernel.proc_domain p in
-                let dst, src =
-                  let rec find i =
-                    if i >= tenants then (d, d)
-                    else if domains.(i) = d then
-                      ( domains.((i + 1) mod tenants),
-                        domains.((i + tenants - 1) mod tenants) )
-                    else find (i + 1)
-                  in
-                  find 0
-                in
+                let dst = domains.((i + 1) mod tenants) in
+                let src = domains.((i + tenants - 1) mod tenants) in
                 (match Nested_kernel.Api.nk_pipe_send nk ~dst !pipe_words with
                 | Ok () -> incr pipe_words
                 | Error _ -> ());
@@ -204,48 +149,16 @@ let run_one ?(seed = default_seed) ?(tenants = 8) ?(conns = default_conns)
             true
         | _ -> true)
   in
-  let cycles = Clock.cycles m.Machine.clock - cyc0 in
-  (match k.Kernel.nk with
-  | Some nk ->
-      Nested_kernel.Api.nk_flush_all_deferred nk;
-      violations :=
-        !violations
-        + List.length
-            (Nested_kernel.Api.Diagnostics.Coherence.snapshot
-               ~op:"multitenant-final" nk)
-  | None -> ());
-  let audit_failures =
-    match k.Kernel.nk with
-    | Some nk -> List.length (Nested_kernel.Api.audit nk)
-    | None -> 0
+  let cycles = Harness.window_cycles h in
+  let oracle_violations, audit_failures =
+    Harness.finish h ~op:"multitenant-final"
   in
-  let p50, p99, p999 =
-    match Nktrace.histogram trace Loadgen.hist_name with
-    | Some h -> (h.Nktrace.p50, h.Nktrace.p99, h.Nktrace.p999)
-    | None -> (0, 0, 0)
+  let p50, p99, p999 = Harness.latency h in
+  let per_tenant_completed =
+    Hashtbl.fold (fun pid (_, lg, _) acc -> (pid, Loadgen.completed lg) :: acc) members []
+    |> List.sort compare |> List.map snd
   in
-  let per_tenant =
-    Hashtbl.fold
-      (fun pid srv acc ->
-        let lg = Hashtbl.find loads pid in
-        let domain =
-          match Kernel.proc k pid with
-          | Some p -> Kernel.proc_domain p
-          | None -> 0
-        in
-        {
-          t_domain = domain;
-          t_pid = pid;
-          t_completed = Loadgen.completed lg;
-          t_gets = Kvserver.gets srv;
-          t_sets = Kvserver.sets srv;
-          t_live_peak = Loadgen.live_peak lg;
-        }
-        :: acc)
-      servers []
-    |> List.sort (fun a b -> compare a.t_pid b.t_pid)
-  in
-  let completed = List.fold_left (fun a t -> a + t.t_completed) 0 per_tenant in
+  let completed = List.fold_left ( + ) 0 per_tenant_completed in
   (* Tear every tenant down through the full accounting path; what the
      nested kernel still finds owner-marked is an outer-kernel leak. *)
   let teardown_leaks =
@@ -264,7 +177,7 @@ let run_one ?(seed = default_seed) ?(tenants = 8) ?(conns = default_conns)
     conns;
     seed;
     steps = taken;
-    per_tenant;
+    per_tenant_completed;
     completed;
     p50;
     p99;
@@ -272,62 +185,60 @@ let run_one ?(seed = default_seed) ?(tenants = 8) ?(conns = default_conns)
     throughput =
       (if cycles = 0 then 0.0
        else 1_000_000.0 *. float_of_int completed /. float_of_int cycles);
-    xdom_denials = counter "xdom_denied" - denied0;
-    vmcalls = counter "vmcall" - vmcall0;
-    sched_epochs = counter "sched_epoch" - epoch0;
+    xdom_denials = Harness.delta h (Nktrace.Custom "xdom_denied");
+    vmcalls = Harness.delta h (Nktrace.Custom "vmcall");
+    sched_epochs = Harness.delta h (Nktrace.Custom "sched_epoch");
     pipe_words = !pipe_words;
     teardown_leaks;
     cycles;
-    host_secs = Sys.time () -. host0;
-    oracle_violations = !violations;
+    host_secs = Harness.host_secs h;
+    oracle_violations;
     audit_failures;
   }
 
-let run ?seed ?(tenant_counts = tenant_counts) ?(conns = default_conns) () =
-  let seed = match seed with Some s -> s | None -> env_seed () in
+let run () =
+  let seed = Harness.seed () in
   List.concat_map
     (fun tenants ->
-      List.map
-        (fun config -> run_one ~seed ~tenants ~conns ~config ())
-        configs)
-    tenant_counts
+      List.map (fun config -> run_one ~seed ~tenants ~config ()) configs)
+    [ 4; 8; 16 ]
+
+let fields =
+  Harness.
+    [
+      field "config" ~col:"config" (fun p -> Json.Str (Config.name p.config));
+      int "tenants" ~col:"tenants" (fun p -> p.tenants);
+      int "conns" ~col:"conns/t" (fun p -> p.conns);
+      int "steps" (fun p -> p.steps);
+      int "completed" ~col:"reqs" (fun p -> p.completed);
+      field "throughput" ~col:"req/Mcyc"
+        ~cell:(fun p -> Printf.sprintf "%.2f" p.throughput)
+        (fun p -> Json.float 3 p.throughput);
+      int "p50" ~col:"p50" (fun p -> p.p50);
+      int "p99" ~col:"p99" (fun p -> p.p99);
+      int "p999" ~col:"p999" (fun p -> p.p999);
+      int "xdom_denials" ~col:"denials" (fun p -> p.xdom_denials);
+      int "vmcalls" ~col:"vmcalls" (fun p -> p.vmcalls);
+      int "sched_epochs" ~col:"epochs" (fun p -> p.sched_epochs);
+      int "pipe_words" ~col:"pipe" (fun p -> p.pipe_words);
+      int "teardown_leaks" ~col:"leaks" (fun p -> p.teardown_leaks);
+      int "cycles" (fun p -> p.cycles);
+      wallclock_field ~cycles:(fun p -> p.cycles) ~host_secs:(fun p -> p.host_secs);
+      field "per_tenant_completed" (fun p ->
+          Json.Arr (List.map Json.int p.per_tenant_completed));
+      int "oracle_violations" ~col:"oracle" (fun p -> p.oracle_violations);
+      int "audit_failures" ~col:"audit" (fun p -> p.audit_failures);
+    ]
 
 let to_table points =
-  {
-    Stats.title =
-      Printf.sprintf
-        "Multi-tenant serving: N tenant domains, %d vCPUs, per-domain \
-         credits (sched seed %d)"
-        cpus
-        (match points with p :: _ -> p.seed | [] -> default_seed);
-    columns =
-      [
-        "config"; "tenants"; "conns/t"; "reqs"; "req/Mcyc"; "p50"; "p99";
-        "p999"; "denials"; "vmcalls"; "epochs"; "pipe"; "leaks"; "oracle";
-        "audit";
-      ];
-    rows =
-      List.map
-        (fun p ->
-          [
-            Config.name p.config;
-            string_of_int p.tenants;
-            string_of_int p.conns;
-            string_of_int p.completed;
-            Printf.sprintf "%.2f" p.throughput;
-            string_of_int p.p50;
-            string_of_int p.p99;
-            string_of_int p.p999;
-            string_of_int p.xdom_denials;
-            string_of_int p.vmcalls;
-            string_of_int p.sched_epochs;
-            string_of_int p.pipe_words;
-            string_of_int p.teardown_leaks;
-            string_of_int p.oracle_violations;
-            string_of_int p.audit_failures;
-          ])
-        points;
-    notes =
+  Harness.table
+    ~title:
+      (Printf.sprintf
+         "Multi-tenant serving: N tenant domains, %d vCPUs, per-domain \
+          credits (sched seed %d)"
+         cpus
+         (match points with p :: _ -> p.seed | [] -> Harness.default_seed))
+    ~notes:
       [
         "each tenant: own domain, own listener, own load; per quantum it \
          also churns an mmap/touch/munmap scratch so MMU mediation is on \
@@ -336,5 +247,5 @@ let to_table points =
          the VMCALL round trip, PCID off (full flush per switch)";
         "denials are cross-domain rejections the nested kernel counted; \
          any nonzero leak/oracle/audit cell is a bug";
-      ];
-  }
+      ]
+    fields points

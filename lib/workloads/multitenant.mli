@@ -7,22 +7,13 @@ open Outer_kernel
     a single-domain native run and a simulated-hypervisor baseline
     where every mediated MMU operation pays a VMCALL round trip. *)
 
-type tenant = {
-  t_domain : int;
-  t_pid : Ktypes.pid;
-  t_completed : int;  (** requests answered end-to-end *)
-  t_gets : int;
-  t_sets : int;
-  t_live_peak : int;
-}
-
 type point = {
   config : Config.t;
   tenants : int;
   conns : int;  (** per-tenant live-connection target *)
   seed : int;
   steps : int;
-  per_tenant : tenant list;
+  per_tenant_completed : int list;  (** by tenant server pid *)
   completed : int;
   p50 : int;
   p99 : int;
@@ -39,11 +30,7 @@ type point = {
   audit_failures : int;
 }
 
-val default_seed : int
 val cpus : int
-val tenant_counts : int list
-val configs : Config.t list
-val default_conns : int
 val scratch_pages : int
 val scratch_iters : int
 
@@ -55,11 +42,13 @@ val run_one :
   config:Config.t ->
   unit ->
   point
-(** One (config, tenant count) point.  [instrument] runs once the
-    machine is booted and the oracle installed, before any work — the
-    hook tests use to wrap the oracle. *)
+(** One (config, tenant count) point under the checked-run protocol
+    ({!Harness}); [instrument] is {!Harness.start}'s hook.  [seed]
+    defaults to {!Harness.default_seed}, [tenants] to 8 and [conns]
+    (per tenant) to 400. *)
 
-val run :
-  ?seed:int -> ?tenant_counts:int list -> ?conns:int -> unit -> point list
+val run : unit -> point list
+(** Every config at 4, 8 and 16 tenants under {!Harness.seed}. *)
 
+val fields : point Harness.field list
 val to_table : point list -> Stats.table

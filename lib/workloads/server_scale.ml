@@ -39,20 +39,10 @@ type point = {
   audit_failures : int;
 }
 
-let default_seed = 42
-
-let env_seed () =
-  match Sys.getenv_opt "NKSIM_SCHED_SEED" with
-  | Some s -> ( match int_of_string_opt s with Some n -> n | None -> default_seed)
-  | None -> default_seed
-
-let conn_counts = [ 1_000; 5_000; 10_000; 50_000; 100_000 ]
 let configs = [ Config.Native; Config.Perspicuos ]
 let cpus = 8
 
-let ok = function
-  | Ok v -> v
-  | Error e -> failwith ("server_scale: " ^ Ktypes.errno_to_string e)
+let ok r = Ktypes.ok_or_fail "server_scale" r
 
 (* Cycles for one open/close pair, averaged over a small burst, with
    the fd table at whatever size the run left it — the flatness probe
@@ -67,22 +57,13 @@ let fd_op_probe k p =
   done;
   (Clock.cycles m.Machine.clock - before) / rounds
 
-let run_one ?(seed = default_seed) ?(et = false) ?(instrument = ignore) ~config
+let run_one ?(seed = Harness.default_seed) ?(et = false) ?instrument ~config
     conns =
-  let host0 = Sys.time () in
-  let k =
-    Os.boot ~batched:true ~trace:true ~cpus ~frames:16384 config
+  let h, k =
+    Harness.start ?instrument (fun () ->
+        Os.boot ~batched:true ~trace:true ~cpus ~frames:16384 config)
   in
   let m = k.Kernel.machine in
-  let trace = m.Machine.trace in
-  let violations = ref 0 in
-  (match k.Kernel.nk with
-  | Some nk ->
-      Nested_kernel.Api.Diagnostics.Coherence.enable
-        ~on_violation:(fun vs -> violations := !violations + List.length vs)
-        nk
-  | None -> ());
-  instrument k;
   let sched = Sched.create k in
   let p0 = Kernel.current_proc k in
   let lfd0 = ok (Syscalls.listen k p0 ~backlog:16384) in
@@ -101,29 +82,13 @@ let run_one ?(seed = default_seed) ?(et = false) ?(instrument = ignore) ~config
     Hashtbl.replace workers pid (Kvserver.create ~lfd ~et ~accept_burst:256 k p);
     Sched.add_on sched pid cpu
   done;
-  let lst = Evloop.listener (Kvserver.ev srv0) in
   let lg =
-    Loadgen.create m lst
-      {
-        Loadgen.seed;
-        conns;
-        active = min 1024 (max 32 (conns / 100));
-        slow = max 2 (min 64 (conns / 1600));
-        slow_chunk = Kvserver.req_bytes / 8;
-        ramp_per_tick = max 16 (conns / 500);
-        keepalive = 8;
-        think_max = 16;
-        gen = Kvserver.gen;
-      }
+    Kvserver.load m srv0 ~seed ~conns
+      ~active:(min 1024 (max 32 (conns / 100)))
+      ~slow:(max 2 (min 64 (conns / 1600)))
+      ~ramp_per_tick:(max 16 (conns / 500))
   in
-  let counter ev = Nktrace.counter_value trace ev in
-  let local0 = counter Nktrace.Accept_local in
-  let steal0 = counter Nktrace.Accept_steal in
-  let drop0 = counter Nktrace.Sock_backlog_drop in
-  let wake0 = counter Nktrace.Epoll_wakeup in
-  let hit0 = counter Nktrace.Slab_cpu_hit in
-  let refill0 = counter Nktrace.Slab_cpu_refill in
-  let cyc0 = Clock.cycles m.Machine.clock in
+  Harness.open_window h;
   let steps = 800 + (conns / 100) in
   let taken =
     Sched.run_smp sched
@@ -150,34 +115,17 @@ let run_one ?(seed = default_seed) ?(et = false) ?(instrument = ignore) ~config
       workers None
   in
   let fd_op_cycles = fd_op_probe k (Option.get fat) in
-  (match k.Kernel.nk with
-  | Some nk ->
-      Nested_kernel.Api.nk_flush_all_deferred nk;
-      violations :=
-        !violations
-        + List.length
-            (Nested_kernel.Api.Diagnostics.Coherence.snapshot
-               ~op:"server-scale-final" nk)
-  | None -> ());
-  let audit_failures =
-    match k.Kernel.nk with
-    | Some nk -> List.length (Nested_kernel.Api.audit nk)
-    | None -> 0
+  let oracle_violations, audit_failures =
+    Harness.finish h ~op:"server-scale-final"
   in
-  let p50, p99, p999 =
-    match Nktrace.histogram trace Loadgen.hist_name with
-    | Some h -> (h.Nktrace.p50, h.Nktrace.p99, h.Nktrace.p999)
-    | None -> (0, 0, 0)
-  in
-  let gets, sets =
+  let p50, p99, p999 = Harness.latency h in
+  let gets, sets, accepted =
     Hashtbl.fold
-      (fun _ srv (g, s) -> (g + Kvserver.gets srv, s + Kvserver.sets srv))
-      workers (0, 0)
-  in
-  let accepted =
-    Hashtbl.fold
-      (fun _ srv acc -> acc + Evloop.accepted (Kvserver.ev srv))
-      workers 0
+      (fun _ srv (g, s, a) ->
+        ( g + Kvserver.gets srv,
+          s + Kvserver.sets srv,
+          a + Evloop.accepted (Kvserver.ev srv) ))
+      workers (0, 0, 0)
   in
   {
     config;
@@ -193,65 +141,67 @@ let run_one ?(seed = default_seed) ?(et = false) ?(instrument = ignore) ~config
     p99;
     p999;
     fd_op_cycles;
-    accepts_local = counter Nktrace.Accept_local - local0;
-    accepts_steal = counter Nktrace.Accept_steal - steal0;
-    backlog_drops = counter Nktrace.Sock_backlog_drop - drop0;
-    epoll_wakeups = counter Nktrace.Epoll_wakeup - wake0;
-    slab_hits = counter Nktrace.Slab_cpu_hit - hit0;
-    slab_refills = counter Nktrace.Slab_cpu_refill - refill0;
-    cycles = Clock.cycles m.Machine.clock - cyc0;
-    host_secs = Sys.time () -. host0;
-    oracle_violations = !violations;
+    accepts_local = Harness.delta h Nktrace.Accept_local;
+    accepts_steal = Harness.delta h Nktrace.Accept_steal;
+    backlog_drops = Harness.delta h Nktrace.Sock_backlog_drop;
+    epoll_wakeups = Harness.delta h Nktrace.Epoll_wakeup;
+    slab_hits = Harness.delta h Nktrace.Slab_cpu_hit;
+    slab_refills = Harness.delta h Nktrace.Slab_cpu_refill;
+    cycles = Harness.window_cycles h;
+    host_secs = Harness.host_secs h;
+    oracle_violations;
     audit_failures;
   }
 
-let run ?seed ?et ?(conn_counts = conn_counts) () =
-  let seed = match seed with Some s -> s | None -> env_seed () in
+let run () =
+  let seed = Harness.seed () in
   List.concat_map
     (fun config ->
-      List.map (fun conns -> run_one ~seed ?et ~config conns) conn_counts)
+      List.map (run_one ~seed ~config) [ 1_000; 5_000; 10_000; 50_000; 100_000 ])
     configs
 
+let fields =
+  Harness.
+    [
+      field "config" ~col:"config" (fun p -> Json.Str (Config.name p.config));
+      int "conns" ~col:"conns" (fun p -> p.conns);
+      int "steps" (fun p -> p.steps);
+      int "live_peak" ~col:"live peak" (fun p -> p.live_peak);
+      int "accepted" (fun p -> p.accepted);
+      int "completed" ~col:"reqs" (fun p -> p.completed);
+      int "gets" (fun p -> p.gets);
+      int "sets" (fun p -> p.sets);
+      int "p50" ~col:"p50" (fun p -> p.p50);
+      int "p99" ~col:"p99" (fun p -> p.p99);
+      int "p999" ~col:"p999" (fun p -> p.p999);
+      int "fd_op_cycles" ~col:"fd-op cyc" (fun p -> p.fd_op_cycles);
+      int "accepts_local" ~col:"acc local" (fun p -> p.accepts_local);
+      int "accepts_steal" ~col:"acc steal" (fun p -> p.accepts_steal);
+      int "backlog_drops" ~col:"drops" (fun p -> p.backlog_drops);
+      int "epoll_wakeups" ~col:"wakeups" (fun p -> p.epoll_wakeups);
+      int "slab_hits" (fun p -> p.slab_hits);
+      int "slab_refills" (fun p -> p.slab_refills);
+      col "slab hit%" (fun p ->
+          let total = p.slab_hits + p.slab_refills in
+          if total = 0 then "-"
+          else
+            Printf.sprintf "%.1f"
+              (100.0 *. float_of_int p.slab_hits /. float_of_int total));
+      int "cycles" (fun p -> p.cycles);
+      wallclock_field ~cycles:(fun p -> p.cycles) ~host_secs:(fun p -> p.host_secs);
+      int "oracle_violations" ~col:"oracle" (fun p -> p.oracle_violations);
+      int "audit_failures" ~col:"audit" (fun p -> p.audit_failures);
+    ]
+
 let to_table points =
-  {
-    Stats.title =
-      Printf.sprintf
-        "Server scaling: kv server, %d vCPUs, 1k..100k live connections \
-         (sched seed %d)"
-        cpus
-        (match points with p :: _ -> p.seed | [] -> default_seed);
-    columns =
-      [
-        "config"; "conns"; "live peak"; "reqs"; "p50"; "p99"; "p999";
-        "fd-op cyc"; "acc local"; "acc steal"; "drops"; "wakeups";
-        "slab hit%"; "oracle"; "audit";
-      ];
-    rows =
-      List.map
-        (fun p ->
-          [
-            Config.name p.config;
-            string_of_int p.conns;
-            string_of_int p.live_peak;
-            string_of_int p.completed;
-            string_of_int p.p50;
-            string_of_int p.p99;
-            string_of_int p.p999;
-            string_of_int p.fd_op_cycles;
-            string_of_int p.accepts_local;
-            string_of_int p.accepts_steal;
-            string_of_int p.backlog_drops;
-            string_of_int p.epoll_wakeups;
-            (let total = p.slab_hits + p.slab_refills in
-             if total = 0 then "-"
-             else
-               Printf.sprintf "%.1f"
-                 (100.0 *. float_of_int p.slab_hits /. float_of_int total));
-            string_of_int p.oracle_violations;
-            string_of_int p.audit_failures;
-          ])
-        points;
-    notes =
+  Harness.table
+    ~title:
+      (Printf.sprintf
+         "Server scaling: kv server, %d vCPUs, 1k..100k live connections \
+          (sched seed %d)"
+         cpus
+         (match points with p :: _ -> p.seed | [] -> Harness.default_seed))
+    ~notes:
       [
         "latencies in simulated cycles, first request byte to last response \
          byte, slowloris stragglers included";
@@ -259,5 +209,5 @@ let to_table points =
          across the sweep is the two-level-bitmap claim";
         "most connections idle; the active set is bounded, so p99 reflects \
          readiness-loop cost, not population size";
-      ];
-  }
+      ]
+    fields points

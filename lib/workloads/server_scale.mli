@@ -41,17 +41,6 @@ type point = {
   audit_failures : int;
 }
 
-val default_seed : int
-
-val env_seed : unit -> int
-(** [NKSIM_SCHED_SEED], or {!default_seed}. *)
-
-val conn_counts : int list
-(** 1k, 5k, 10k, 50k, 100k. *)
-
-val configs : Config.t list
-(** Native and base PerspicuOS. *)
-
 val cpus : int
 
 val run_one :
@@ -61,10 +50,14 @@ val run_one :
   config:Config.t ->
   int ->
   point
-(** One (config, live-connection target) cell; [et] runs the workers'
-    connections edge-triggered.  [instrument] runs once the machine is
-    booted and the oracle installed, before any work — the hook tests
-    use to wrap the oracle. *)
+(** One (config, live-connection target) cell under the checked-run
+    protocol ({!Harness}); [et] runs the workers' connections
+    edge-triggered and [instrument] is {!Harness.start}'s hook.
+    [seed] defaults to {!Harness.default_seed}. *)
 
-val run : ?seed:int -> ?et:bool -> ?conn_counts:int list -> unit -> point list
+val run : unit -> point list
+(** Both {!configs} at 1k, 5k, 10k, 50k and 100k connections under
+    {!Harness.seed}. *)
+
+val fields : point Harness.field list
 val to_table : point list -> Stats.table

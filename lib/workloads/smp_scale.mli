@@ -19,31 +19,19 @@ type point = {
   reuse : int;  (** deferred invalidations fired by frame reuse *)
   steals : int;  (** work-stealing events *)
   migrations : int;  (** CPU activations (executor CPU switches) *)
-  oracle_violations : int;
-      (** coherence-oracle violations (0 unless [coherence] was set) *)
+  oracle_violations : int;  (** coherence-oracle violations *)
   audit_failures : int;  (** nested-kernel invariant violations at the end *)
 }
 
-val default_seed : int
+val run_one : ?seed:int -> ?procs:int -> ?steps:int -> int -> point
+(** Boot Perspicuos with that many CPUs under the checked-run protocol
+    ({!Harness}), fork [procs] (default 8) processes onto the boot CPU
+    (idle APs must steal their share), drive [steps] (default 4000)
+    executor quanta of getpid + periodic mmap/munmap churn.  [seed]
+    defaults to {!Harness.default_seed}. *)
 
-val env_seed : unit -> int
-(** [NKSIM_SCHED_SEED] if set and numeric, else {!default_seed}. *)
+val run : unit -> point list
+(** {!run_one} across 1, 2, 4 and 8 vCPUs under {!Harness.seed}. *)
 
-val cpu_counts : int list
-(** The sweep: [1; 2; 4; 8]. *)
-
-val run_one :
-  ?seed:int -> ?procs:int -> ?steps:int -> ?coherence:bool -> int -> point
-(** Boot Perspicuos with that many CPUs, fork [procs] (default 8)
-    processes onto the boot CPU (idle APs must steal their share),
-    drive [steps] (default 4000) executor quanta of getpid + periodic
-    mmap/munmap churn.  [coherence] (default off) runs the whole sweep
-    under the differential TLB oracle — cycle-free, so the measured
-    numbers do not move — and reports violations in the point. *)
-
-val run :
-  ?seed:int -> ?procs:int -> ?steps:int -> ?coherence:bool -> unit ->
-  point list
-(** {!run_one} across {!cpu_counts}; seed defaults to {!env_seed}. *)
-
+val fields : point Harness.field list
 val to_table : point list -> Stats.table

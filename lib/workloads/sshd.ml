@@ -18,9 +18,7 @@ let session_setup_cycles = 150_000
 let cipher_cycles_per_byte = 2.5 (* AES-CTR + MAC on the client-era CPU *)
 let wire_bytes_per_sec = 112.0e6 (* 1 Gbps minus framing *)
 
-let ok = function
-  | Ok v -> v
-  | Error e -> failwith ("sshd: " ^ Ktypes.errno_to_string e)
+let ok r = Ktypes.ok_or_fail "sshd" r
 
 (* One complete transfer; returns nothing, all costs land on the
    simulated clock. *)

@@ -28,7 +28,7 @@ let mmap_ok k p ~pages ~populate =
 let test_smp_scale_steals () =
   List.iter
     (fun cpus ->
-      let p = Nk_workloads.Smp_scale.run_one ~coherence:true cpus in
+      let p = Nk_workloads.Smp_scale.run_one cpus in
       Alcotest.(check bool)
         (Printf.sprintf "steals exercised at %d vCPUs" cpus)
         true
