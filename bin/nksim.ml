@@ -433,8 +433,13 @@ let check_cmd =
         end
     | None ->
         let cfg = { Nkcheck.depth; vocab; inject; max_states } in
+        let host0 = Sys.time () in
         let report = Nkcheck.run cfg in
+        let host_secs = Sys.time () -. host0 in
         Format.printf "%a" Nkcheck.pp_report report;
+        (* Host time goes to stderr: stdout is the deterministic report. *)
+        Printf.eprintf "  host time       : %.3fs, %.0f transitions/host sec\n" host_secs
+          (float_of_int report.Nkcheck.rp_transitions /. Float.max host_secs 1e-9);
         (match out with
         | None -> ()
         | Some dir ->

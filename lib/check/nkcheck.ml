@@ -16,9 +16,18 @@
    TLBs, CRs, descriptors, PCID bindings, deferred queue, ...) have
    equal op semantics, so exploring each canonical state once covers
    every op sequence up to the depth bound.  Expansion replays the
-   reaching prefix from a fresh deterministic boot — there is no undo,
-   and nothing in a universe depends on host randomness or time, so a
+   reaching prefix from the booted state — there is no undo, and
+   nothing in a universe depends on host randomness or time, so a
    replayed prefix lands on the bit-identical state.
+
+   The explorer boots two universes per run: a template, booted and
+   never armed or run, and one work universe.  Before each transition
+   the work universe is restored from the template in place (every
+   hw and nested-kernel object copies the template's contents into its
+   own) and its oracle re-armed, so no machine is allocated per
+   transition.  A restored universe must be indistinguishable from a
+   freshly booted one; {!restore_mismatches} checks exactly that, state
+   by state, and the shrinker and script replays keep booting fresh.
 
    Counterexamples shrink greedily (ddmin-style single-op removal to a
    fixpoint) and serialize to replayable scripts; see
@@ -51,9 +60,9 @@ let vocab_of_name = function
 
 (* --- the universe ------------------------------------------------- *)
 
-(* Small on purpose: boot cost is paid once per explored transition
-   (expansion replays from boot), so every frame in the machine is
-   either load-bearing or part of the 2 MiB large-leaf span. *)
+(* Small on purpose: the restore before every explored transition
+   copies the whole plane, so every frame in the machine is either
+   load-bearing or part of the 2 MiB large-leaf span. *)
 let total_frames = 544
 
 let layout =
@@ -104,7 +113,8 @@ let fail_nk what = function
    set up here: the user-half chain root[0]->pdpt[0]->pd[0]->pt with
    pt[0] mapping d0 user-rw, a second root sharing only the kernel
    half, CR4.PCIDE on with PCID 0 bound to the main root, and both
-   CPUs' TLBs warmed with the u0 translation. *)
+   CPUs' TLBs warmed with the u0 translation.  The oracle is left off
+   ({!arm} installs it), so the result can serve as a template. *)
 let boot_universe ?(domains = false) () =
   (* The domain universe carries four more playground frames (two
      tenant-owned leaf tables, two claimed data frames); core/full get
@@ -198,15 +208,42 @@ let boot_universe ?(domains = false) () =
   Smp.activate smp cpu1;
   ignore (Machine.write_u8 m ~ring:Mmu.User u_va 0x5a);
   Smp.activate smp 0;
-  (* The oracle collects instead of raising so one op can surface
-     several violations and the explorer stays in control. *)
+  u
+
+(* The oracle collects instead of raising so one op can surface
+   several violations and the explorer stays in control.  Enabling
+   builds the oracle's index and its hook's re-entry guard afresh from
+   the machine as it stands, so arming a restored universe is exactly
+   arming a booted one, even after an op that raised mid-check. *)
+let arm u =
   Api.Diagnostics.Coherence.enable
     ~on_violation:(fun vs ->
       u.oracle <-
         u.oracle
         @ List.map (fun v -> Format.asprintf "%a" Coherence.pp_violation v) vs)
-    st;
+    u.st
+
+let boot_armed ~domains =
+  let u = boot_universe ~domains () in
+  arm u;
   u
+
+(* Make [u] the template again, in place.  Disarming goes straight to
+   the hardware oracle: Api's disable would first drain the deferred
+   queue, mutating the universe being thrown away for nothing.  The
+   template was never armed, so its store and insert logs are off and
+   the restore leaves them off until [arm] turns them on. *)
+let restore ~template u =
+  Coherence.disable u.st.State.machine;
+  Smp.restore ~src:template.smp u.smp;
+  State.restore ~src:template.st u.st;
+  u.dom_a <- template.dom_a;
+  u.dom_b <- template.dom_b;
+  u.tok_a <- template.tok_a;
+  u.tok_b <- template.tok_b;
+  u.inj_mode <- template.inj_mode;
+  u.oracle <- template.oracle;
+  arm u
 
 (* --- op vocabulary ------------------------------------------------ *)
 
@@ -362,7 +399,7 @@ let op_table u : (string * [ `Core | `Full | `Inject | `Domains ] * (unit -> uni
     ("inject-off", `Inject, fun () -> clear_inject u);
   ]
 
-let vocab_ops cfg u =
+let vocab_ops cfg table =
   List.filter_map
     (fun (name, cls, f) ->
       match (cls, cfg.vocab, cfg.inject) with
@@ -373,7 +410,7 @@ let vocab_ops cfg u =
       | `Domains, (Core | Full), _ -> None
       | `Inject, _, true -> Some (name, f)
       | `Inject, _, false -> None)
-    (op_table u)
+    table
 
 (* --- state fingerprint -------------------------------------------- *)
 
@@ -393,10 +430,12 @@ let vocab_ops cfg u =
 
 type fp = int * int
 
+let[@inline] fp_mix1 h1 x = (h1 lxor x) * 0x100000001b3 land max_int
+let[@inline] fp_mix2 h2 x = ((h2 + x + 1) * 0x27d4eb2f165667c5 + 0x9e3779b9) land max_int
+
 let fp_mix (h1, h2) x =
   let x = x land max_int in
-  ( (h1 lxor x) * 0x100000001b3 land max_int,
-    ((h2 + x + 1) * 0x27d4eb2f165667c5 + 0x9e3779b9) land max_int )
+  (fp_mix1 h1 x, fp_mix2 h2 x)
 
 let fp_bool h b = fp_mix h (if b then 1 else 0)
 let fp_list h f l = List.fold_left f (fp_mix h (List.length l)) l
@@ -439,17 +478,21 @@ let fingerprint (u : u) : fp =
   let st = u.st in
   let m = st.State.machine in
   let mem = m.Machine.mem in
-  let h = ref (0x3bf29ce484222325, 0x1e3779b97f4a7c15) in
-  let mix x = h := fp_mix !h x in
   (* Bounded physical memory: the NK region, the playground, and the
-     first pages of the large-leaf span — every frame any op writes. *)
+     first pages of the large-leaf span — every frame any op writes
+     but the boot stack's.  The bulk of the fold, so it runs [fp_mix]
+     on two unboxed accumulators rather than a pair per word. *)
   let hi = u.f_large + 1 in
+  let h1 = ref 0x3bf29ce484222325 and h2 = ref 0x1e3779b97f4a7c15 in
   for f = 0 to hi do
-    let base = Addr.pa_of_frame f in
     for w = 0 to (Addr.page_size / 8) - 1 do
-      mix (Phys_mem.read_u64 mem (base + (8 * w)))
+      let x = Phys_mem.read_table_word mem ~frame:f ~index:w land max_int in
+      h1 := fp_mix1 !h1 x;
+      h2 := fp_mix2 !h2 x
     done
   done;
+  let h = ref (!h1, !h2) in
+  let mix x = h := fp_mix !h x in
   (* Per-CPU architectural state. *)
   mix (Smp.active u.smp);
   for id = 0 to Smp.cpu_count u.smp - 1 do
@@ -593,8 +636,9 @@ let step_checks u =
   !fails
 
 (* Destructive end-of-sequence check: drain the lazy unmap queue, then
-   everything must audit clean with no exemptions left.  Run on a
-   throwaway universe — expansion replays from boot anyway. *)
+   everything must audit clean with no exemptions left.  Always the last
+   thing run on a universe: the explorer restores over it before the
+   next transition. *)
 let shutdown_checks u =
   let st = u.st in
   let fails = ref [] in
@@ -632,18 +676,16 @@ let apply_op _u (name, f) =
   | exception e ->
       Some (Printf.sprintf "exception: %s escaped op %s" (Printexc.to_string e) name)
 
-let find_op u name =
-  List.find_map
-    (fun (n, _, f) -> if n = name then Some (n, f) else None)
-    (op_table u)
+let find_op table name =
+  List.find_map (fun (n, _, f) -> if n = name then Some (n, f) else None) table
 
 (* Replay [names] with no checks; the per-op oracle collector is
    cleared afterwards so earlier (already-reported) violations are not
    re-attributed to the next op. *)
-let replay_prefix u names =
+let replay_prefix table u names =
   List.iter
     (fun name ->
-      match find_op u name with
+      match find_op table name with
       | Some op -> ignore (apply_op u op)
       | None -> failwith ("nkcheck: unknown op in replay: " ^ name))
     names;
@@ -658,12 +700,13 @@ let needs_domains names =
 (* Run [names] from boot with full per-step checks and the shutdown
    check at the end; the result is every failure, step-indexed. *)
 let run_checked names =
-  let u = boot_universe ~domains:(needs_domains names) () in
+  let u = boot_armed ~domains:(needs_domains names) in
+  let table = op_table u in
   ignore (drain_oracle u);
   let fails = ref [] in
   List.iteri
     (fun i name ->
-      match find_op u name with
+      match find_op table name with
       | None -> fails := !fails @ [ (i, "unknown op: " ^ name) ]
       | Some op ->
           (match apply_op u op with
@@ -718,7 +761,9 @@ type report = {
   rp_counterexamples : counterexample list;
 }
 
-let run cfg =
+(* The explorer proper; also returns the sequence that first reached
+   each visited state, in discovery order. *)
+let explore cfg =
   let visited : (fp, unit) Hashtbl.t = Hashtbl.create 4096 in
   let queue : (string list * int) Queue.t = Queue.create () in
   let transitions = ref 0 in
@@ -742,15 +787,18 @@ let run cfg =
           ]
     end
   in
-  (* Seed state. *)
+  (* Seed state, on the work universe; the template is never run. *)
   let domains = cfg.vocab = Domains in
-  let u0 = boot_universe ~domains () in
-  ignore (drain_oracle u0);
-  let names = List.map fst (vocab_ops cfg u0) in
-  Hashtbl.replace visited (fingerprint u0) ();
-  (match step_checks u0 with
+  let template = boot_universe ~domains () in
+  let u = boot_armed ~domains in
+  let table = op_table u in
+  ignore (drain_oracle u);
+  let names = List.map fst (vocab_ops cfg table) in
+  Hashtbl.replace visited (fingerprint u) ();
+  (match step_checks u with
   | [] -> ()
   | fails -> record [] fails);
+  let reached = ref [ [] ] in
   Queue.push ([], 0) queue;
   while (not (Queue.is_empty queue)) && not !truncated do
     let prefix_rev, depth = Queue.pop queue in
@@ -759,11 +807,11 @@ let run cfg =
         (fun name ->
           if not !truncated then begin
             incr transitions;
-            let u = boot_universe ~domains () in
-            replay_prefix u (List.rev prefix_rev);
+            restore ~template u;
+            replay_prefix table u (List.rev prefix_rev);
             let ops = List.rev (name :: prefix_rev) in
             match
-              (match find_op u name with
+              (match find_op table name with
               | Some op -> apply_op u op
               | None -> Some ("unknown op: " ^ name))
             with
@@ -781,25 +829,159 @@ let run cfg =
                         truncated := true
                       else begin
                         Hashtbl.replace visited fp ();
-                        (* Shutdown check is destructive; this universe
-                           is done either way. *)
+                        (* Shutdown check is destructive; the next
+                           transition restores over it either way. *)
                         (match shutdown_checks u with
                         | [] -> ()
                         | fails -> record ops fails);
+                        reached := ops :: !reached;
                         Queue.push (name :: prefix_rev, depth + 1) queue
                       end
                     end)
           end)
         names
   done;
-  {
-    rp_config = cfg;
-    rp_op_names = names;
-    rp_states = Hashtbl.length visited;
-    rp_transitions = !transitions;
-    rp_truncated = !truncated;
-    rp_counterexamples = !cxs;
-  }
+  ( {
+      rp_config = cfg;
+      rp_op_names = names;
+      rp_states = Hashtbl.length visited;
+      rp_transitions = !transitions;
+      rp_truncated = !truncated;
+      rp_counterexamples = !cxs;
+    },
+    List.rev !reached )
+
+let run cfg = fst (explore cfg)
+
+(* --- restore against boot ----------------------------------------- *)
+
+(* Frames above the fingerprinted range that hold anything.  The
+   fingerprint hashes frames [0, f_large + 1] only, which is sound only
+   while every op leaves the rest of the large-leaf span zero; the one
+   exception is the boot stack at the top of the last frame, whose dead
+   residue below RSP no op reads (see the fingerprint's comment). *)
+let nonzero_frames u =
+  let mem = u.st.State.machine.Machine.mem in
+  let last = Phys_mem.num_frames mem - 1 in
+  let dirty = ref [] in
+  for f = last - 1 downto u.f_large + 2 do
+    let w = ref 0 in
+    while !w < Addr.entries_per_table && Phys_mem.read_table_word mem ~frame:f ~index:!w = 0 do
+      incr w
+    done;
+    if !w < Addr.entries_per_table then dirty := f :: !dirty
+  done;
+  !dirty
+
+(* A restored universe against a booted one, object by object: every
+   closure-free component must be structurally equal, and the
+   machine's view and peer arrays must be the universe's own context
+   objects.  This sees state no op happens to read back. *)
+let image_mismatches u fresh =
+  let m = u.st.State.machine and fm = fresh.st.State.machine in
+  let bad = ref [] in
+  let cmp name a b = if a <> b then bad := name :: !bad in
+  cmp "memory" m.Machine.mem fm.Machine.mem;
+  cmp "active cpu" (Smp.active u.smp, m.Machine.cur_cpu) (Smp.active fresh.smp, fm.Machine.cur_cpu);
+  for id = 0 to Smp.cpu_count u.smp - 1 do
+    let ctx smp =
+      let c = Smp.ctx smp id in
+      (c.Smp.cpu, c.Smp.cr, c.Smp.tlb, c.Smp.mailbox, c.Smp.delayed, Smp.local_cycles smp id,
+       c.Smp.shootdowns_rx, c.Smp.halted)
+    in
+    cmp (Printf.sprintf "cpu %d" id) (ctx u.smp) (ctx fresh.smp)
+  done;
+  let act = Smp.ctx u.smp (Smp.active u.smp) in
+  if
+    not
+      (m.Machine.cpu == act.Smp.cpu && m.Machine.cr == act.Smp.cr
+     && m.Machine.tlb == act.Smp.tlb)
+  then bad := "view not on the active context" :: !bad;
+  Array.iteri
+    (fun i id ->
+      let c = Smp.ctx u.smp id in
+      if not (m.Machine.peer_tlbs.(i) == c.Smp.tlb && m.Machine.peer_crs.(i) == c.Smp.cr) then
+        bad := "peer arrays not on the parked contexts" :: !bad)
+    m.Machine.peer_ids;
+  let machine (m : Machine.t) =
+    ( (m.Machine.peer_ids, m.Machine.asid_residency, m.Machine.max_res_asid,
+       m.Machine.global_residency, m.Machine.res_memo_asid, m.Machine.res_memo_cpu),
+      (Clock.cycles m.Machine.clock, m.Machine.iommu, m.Machine.msrs, m.Machine.idtr,
+       m.Machine.pending_interrupts, m.Machine.smm_owner, m.Machine.in_nested_kernel,
+       m.Machine.last_trap),
+      (Nktrace.snapshot m.Machine.trace).Nktrace.counters )
+  in
+  cmp "machine" (machine m) (machine fm);
+  let nk (st : State.t) =
+    ( (st.State.gate, st.State.descs, st.State.heap, st.State.write_descriptors),
+      (st.State.pcid_roots, st.State.deferred_frames, st.State.deferred_slots,
+       st.State.deferred_count),
+      (st.State.next_wd_id, st.State.lock_held, st.State.denied_writes, st.State.domains,
+       st.State.pipes, st.State.next_domain, st.State.cur_domain) )
+  in
+  cmp "nested kernel" (nk u.st) (nk fresh.st);
+  cmp "checker" (u.dom_a, u.dom_b, u.tok_a, u.tok_b, u.inj_mode, u.oracle)
+    (fresh.dom_a, fresh.dom_b, fresh.tok_a, fresh.tok_b, fresh.inj_mode, fresh.oracle);
+  List.rev !bad
+
+let restore_mismatches cfg =
+  let _, reached = explore cfg in
+  let reached = Array.of_list reached in
+  let n = Array.length reached in
+  let domains = cfg.vocab = Domains in
+  let template = boot_universe ~domains () in
+  let u = boot_armed ~domains in
+  let table = op_table u in
+  let vocab = List.map fst (vocab_ops cfg table) in
+  (* Everything observable about running [names] on [v]: each op's
+     escaped exception, fingerprint and step checks, then the stray
+     frames and the destructive shutdown check. *)
+  let observe v table names =
+    let steps =
+      List.map
+        (fun name ->
+          let exn =
+            match find_op table name with Some op -> apply_op v op | None -> None
+          in
+          (exn, fingerprint v, step_checks v))
+        names
+    in
+    (steps, nonzero_frames v, shutdown_checks v)
+  in
+  let bad = ref [] in
+  Array.iteri
+    (fun i names ->
+      (* Dirty the work universe the way a transition does — a
+         different reached sequence (the mirror-image index, so shallow
+         states are restored over deep ones and the other way round),
+         every other time after one pass over the whole vocabulary,
+         then the step checks, whose audit fills TLBs — then restore
+         and run.  The vocabulary pass reaches state no short sequence
+         does.  No shutdown check: its drain would empty the deferred
+         queue the restore must also undo. *)
+      let j = if n - 1 - i <> i then n - 1 - i else (i + 1) mod n in
+      let dirt = if i land 1 = 0 then reached.(j) else vocab @ reached.(j) in
+      restore ~template u;
+      replay_prefix table u dirt;
+      ignore (step_checks u);
+      restore ~template u;
+      let fresh = boot_armed ~domains in
+      let what = String.concat " " names in
+      List.iter
+        (fun part ->
+          bad := Printf.sprintf "[%s] after restoring over [%s]: %s differs from a fresh boot" what
+                   (String.concat " " dirt) part :: !bad)
+        (image_mismatches u fresh);
+      let ((_, stray, _) as got) = observe u table names in
+      let want = observe fresh (op_table fresh) names in
+      if got <> want then
+        bad := Printf.sprintf "[%s] after restoring over [%s]: differs from a fresh boot" what
+                 (String.concat " " dirt) :: !bad;
+      if stray <> [] then
+        bad := Printf.sprintf "[%s]: frames %s above the fingerprinted range are not zero" what
+                 (String.concat "," (List.map string_of_int stray)) :: !bad)
+    reached;
+  List.rev !bad
 
 (* --- counterexample scripts --------------------------------------- *)
 

@@ -16,9 +16,11 @@
     Exploration is breadth-first over {e canonical states}: two
     sequences landing on semantically identical machine/nested-kernel
     states are explored once, which is what makes "all sequences up to
-    depth [d]" tractable.  Everything is deterministic — same config,
-    same report, byte for byte.  Counterexamples are shrunk to
-    1-minimal op sequences and serialize to replayable scripts. *)
+    depth [d]" tractable.  Each transition replays its reaching prefix
+    on one work universe restored in place from a booted template.
+    Everything is deterministic — same config, same report, byte for
+    byte.  Counterexamples are shrunk to 1-minimal op sequences and
+    serialize to replayable scripts. *)
 
 type vocab = Core | Full | Domains
 
@@ -74,6 +76,19 @@ val replay_script : string -> replay_outcome
 (** Parse script {e content} (not a path) and {!run_checked} it.
     Raises [Failure] on unparseable lines or (via the outcome) reports
     unknown ops as failures. *)
+
+val restore_mismatches : config -> string list
+(** Test support: explore [cfg], then for every reached state restore
+    the work universe over what a different reached sequence (every
+    other time preceded by a pass over the whole vocabulary, and
+    followed by the step checks) left behind, and hold it
+    to a fresh boot twice: object by object right after the restore,
+    and then through replaying the state's sequence — each op's
+    outcome, fingerprint and step checks, and the final shutdown
+    check.  Also flags any frame above the fingerprinted range (bar the
+    boot-stack frame) left non-zero.  Returns one line per
+    discrepancy; [[]] means a restored universe is indistinguishable
+    from a booted one on this bound. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** Deterministic human-readable report: config, vocabulary, state and

@@ -4,6 +4,7 @@ let create () = { cycles = 0 }
 let charge t c = t.cycles <- t.cycles + c
 let cycles t = t.cycles
 let reset t = t.cycles <- 0
+let restore ~src dst = dst.cycles <- src.cycles
 
 type snapshot = int
 

@@ -8,6 +8,9 @@ val charge : t -> int -> unit
 val cycles : t -> int
 val reset : t -> unit
 
+val restore : src:t -> t -> unit
+(** Set [dst]'s cycle count to [src]'s. *)
+
 type snapshot
 (** A cycle stamp. *)
 

@@ -26,6 +26,14 @@ let set_flags_word t w =
   t.zf <- w land 1 <> 0;
   t.intf <- w land 2 <> 0
 
+let restore ~src dst =
+  Copy.ints ~src:src.regs dst.regs;
+  dst.rip <- src.rip;
+  dst.zf <- src.zf;
+  dst.intf <- src.intf;
+  dst.ring <- src.ring;
+  dst.halted <- src.halted
+
 let copy t =
   {
     regs = Array.copy t.regs;

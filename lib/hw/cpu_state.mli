@@ -23,3 +23,6 @@ val flags_word : t -> int
 val set_flags_word : t -> int -> unit
 
 val copy : t -> t
+
+val restore : src:t -> t -> unit
+(** Copy every register, flag and the ring of [src] into [dst]. *)

@@ -19,6 +19,12 @@ type t = {
 let create () = { cr0 = 0; cr3 = 0; cr4 = 0; efer = 0 }
 let copy t = { cr0 = t.cr0; cr3 = t.cr3; cr4 = t.cr4; efer = t.efer }
 
+let restore ~src dst =
+  dst.cr0 <- src.cr0;
+  dst.cr3 <- src.cr3;
+  dst.cr4 <- src.cr4;
+  dst.efer <- src.efer
+
 let long_mode_paging t =
   t.cr0 land cr0_pe <> 0
   && t.cr0 land cr0_pg <> 0

@@ -30,6 +30,9 @@ val create : unit -> t
 
 val copy : t -> t
 
+val restore : src:t -> t -> unit
+(** Copy every register of [src] into [dst]. *)
+
 val long_mode_paging : t -> bool
 (** True when translation is active: PE, PG, PAE and LME all set. *)
 

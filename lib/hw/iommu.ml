@@ -7,3 +7,7 @@ let protect_frame t f = Hashtbl.replace t.protected f ()
 let unprotect_frame t f = Hashtbl.remove t.protected f
 let is_protected t f = Hashtbl.mem t.protected f
 let write_allowed t f = not (t.enabled && is_protected t f)
+
+let restore ~src dst =
+  dst.enabled <- src.enabled;
+  Copy.hashtbl ~src:src.protected dst.protected

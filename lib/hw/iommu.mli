@@ -18,3 +18,6 @@ val is_protected : t -> Addr.frame -> bool
 
 val write_allowed : t -> Addr.frame -> bool
 (** False iff the IOMMU is enabled and the frame is protected. *)
+
+val restore : src:t -> t -> unit
+(** Copy the enable bit and the protected set of [src] into [dst]. *)

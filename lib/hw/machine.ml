@@ -87,6 +87,36 @@ let create ?(frames = 8192) () =
 
 let charge t c = Clock.charge t.clock c
 
+(* The active CPU's view is restored into whatever [dst]'s view points
+   at, so a caller juggling several contexts ({!Smp.restore}) re-points
+   the view first.  The peer arrays and the two hooks are [dst]'s own:
+   the hooks close over the machine (and its SMP layer) they were
+   installed on, so copying them would wire [dst]'s events to [src]. *)
+let restore ~src dst =
+  Phys_mem.restore ~src:src.mem dst.mem;
+  Cr.restore ~src:src.cr dst.cr;
+  Tlb.restore ~src:src.tlb dst.tlb;
+  Cpu_state.restore ~src:src.cpu dst.cpu;
+  Clock.restore ~src:src.clock dst.clock;
+  Iommu.restore ~src:src.iommu dst.iommu;
+  dst.cur_cpu <- src.cur_cpu;
+  Copy.ints ~src:src.asid_residency dst.asid_residency;
+  dst.max_res_asid <- src.max_res_asid;
+  dst.global_residency <- src.global_residency;
+  dst.res_memo_asid <- src.res_memo_asid;
+  dst.res_memo_cpu <- src.res_memo_cpu;
+  dst.shoot_targets <- Copy.ints_into ~src:src.shoot_targets dst.shoot_targets;
+  dst.shoot_ntargets <- src.shoot_ntargets;
+  dst.mmu_fault := !(src.mmu_fault);
+  Copy.hashtbl ~src:src.msrs dst.msrs;
+  dst.idtr <- src.idtr;
+  dst.pending_interrupts <- src.pending_interrupts;
+  dst.smm_owner <- src.smm_owner;
+  dst.smi_handler <- src.smi_handler;
+  dst.in_nested_kernel <- src.in_nested_kernel;
+  dst.last_trap <- src.last_trap;
+  Nktrace.restore_counters ~src:src.trace dst.trace
+
 (* Typed event accounting.  The typed [Nktrace] registry is the single
    counter store; its counters are always live (the ring and histograms
    stay gated behind [Nktrace.enable]).  Tracing never calls {!charge},

@@ -107,6 +107,16 @@ val create : ?frames:int -> unit -> t
 (** Fresh machine with paging disabled; [frames] defaults to 8192
     (32 MiB). *)
 
+val restore : src:t -> t -> unit
+(** [restore ~src dst] copies [src]'s state into [dst]'s existing
+    objects: memory, clock, IOMMU, MSRs, residency tables, interrupt,
+    SMM and trap state, the trace counters, [cur_cpu], and the contents
+    of the active view ([cr], [tlb], [cpu]) into the objects [dst]'s
+    view points at.  Left as they are: [dst]'s peer arrays (see
+    {!Smp.restore}), its [coherence_hook] and [shootdown_notify], which
+    close over [dst] itself, and the trace ring.  The two machines must
+    have the same number of frames. *)
+
 val msr_efer : int
 
 val charge : t -> int -> unit

@@ -116,6 +116,22 @@ let stop_store_log t =
   t.nlog <- 0;
   t.overflow <- false
 
+(* The plane is one memcpy.  The watch set and log are copied too, into
+   [dst]'s own buffers when the sizes agree (the common case: both logs
+   off, or both armed by the same checker), so a restored memory never
+   shares a mutable buffer with its source. *)
+let restore ~src dst =
+  if src.frames <> dst.frames then
+    invalid_arg "Phys_mem.restore: memories differ in size";
+  Bytes.blit src.plane 0 dst.plane 0 src.bytes;
+  (if Bytes.length src.watch = 0 then dst.watch <- Bytes.empty
+   else if Bytes.length dst.watch = Bytes.length src.watch then
+     Bytes.blit src.watch 0 dst.watch 0 (Bytes.length src.watch)
+   else dst.watch <- Bytes.copy src.watch);
+  dst.log <- Copy.ints_into ~src:src.log dst.log;
+  dst.nlog <- src.nlog;
+  dst.overflow <- src.overflow
+
 let read_u8 t pa =
   check t pa 1;
   Char.code (Bytes.unsafe_get t.plane pa)

@@ -69,3 +69,8 @@ val clear_store_log : t -> unit
 
 val stop_store_log : t -> unit
 (** Drop the watch set and turn the log off. *)
+
+val restore : src:t -> t -> unit
+(** [restore ~src dst] makes [dst] a copy of [src] in place: the whole
+    byte plane, the watch set and the store log.  No buffer is shared
+    afterwards.  Raises [Invalid_argument] if the two differ in size. *)

@@ -230,6 +230,43 @@ let drain_ipis_quiet t id =
   Queue.clear c.delayed
 
 let set_inject t inj = t.inject <- inj
+
+let copy_queue ~src dst =
+  Queue.clear dst;
+  Queue.iter (fun x -> Queue.push x dst) src
+
+(* The view is re-pointed at [dst]'s own context for [src]'s active CPU
+   before the machine restore, which then fills that context's
+   cpu/cr/tlb; the loop covers the parked ones.  Apart from the
+   injector, nothing in [dst] aliases an object of [src]. *)
+let restore ~src dst =
+  if Array.length src.cpus <> Array.length dst.cpus then
+    invalid_arg "Smp.restore: CPU counts differ";
+  let m = dst.machine in
+  let act = dst.cpus.(src.active) in
+  dst.active <- src.active;
+  m.Machine.cpu <- act.cpu;
+  m.Machine.cr <- act.cr;
+  m.Machine.tlb <- act.tlb;
+  Machine.restore ~src:src.machine m;
+  Array.iteri
+    (fun i s ->
+      let d = dst.cpus.(i) in
+      if i <> src.active then begin
+        Cpu_state.restore ~src:s.cpu d.cpu;
+        Cr.restore ~src:s.cr d.cr;
+        Tlb.restore ~src:s.tlb d.tlb
+      end;
+      copy_queue ~src:s.mailbox d.mailbox;
+      copy_queue ~src:s.delayed d.delayed;
+      d.local_cycles <- s.local_cycles;
+      d.shootdowns_rx <- s.shootdowns_rx;
+      d.halted <- s.halted)
+    src.cpus;
+  dst.last_stamp <- src.last_stamp;
+  dst.inject <- src.inject;
+  refresh_peers dst
+
 let pending_delayed t id = Queue.length (ctx t id).delayed
 
 type smp = t

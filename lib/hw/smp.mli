@@ -104,6 +104,15 @@ val set_inject : t -> Nkinject.t option -> unit
     [Ipi_delay] sites, covering both explicit sends and the
     shootdown-notify hook). *)
 
+val restore : src:t -> t -> unit
+(** [restore ~src dst] makes [dst] and its machine a copy of [src] and
+    its machine, in place: {!Machine.restore}, then every context's
+    registers, control registers, TLB, mailboxes and counters.
+    Afterwards the machine's view ([cpu], [cr], [tlb], [cur_cpu]) and
+    peer arrays point at [dst]'s own context for [src]'s active CPU.
+    The injector is shared with [src], not copied.  Raises
+    [Invalid_argument] if the CPU counts differ. *)
+
 val pending_delayed : t -> cpu_id -> int
 
 type smp = t

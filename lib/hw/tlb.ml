@@ -102,7 +102,7 @@ type t = {
   mutable nilog : int; (* > length ilog once the log has overflowed *)
   mutable hits : int;
   mutable misses : int;
-  epoch_limit : int; (* wraparound bound; purge-and-reset when reached *)
+  mutable epoch_limit : int; (* wraparound bound; purge-and-reset when reached *)
 }
 
 let mk_keys n = Array.make n (-1)
@@ -559,6 +559,36 @@ let holds_asid t ~asid =
       found := true
   done;
   !found
+
+(* Every array is copied into [dst]'s own when the lengths agree, so a
+   TLB restored from the same-sized source allocates nothing; a
+   length mismatch (either side grown, or an insert log armed on one
+   side only) takes a fresh copy instead. *)
+let restore ~src dst =
+  dst.keys <- Copy.ints_into ~src:src.keys dst.keys;
+  dst.vals <- Copy.ints_into ~src:src.vals dst.vals;
+  dst.eps <- Copy.ints_into ~src:src.eps dst.eps;
+  dst.gns <- Copy.ints_into ~src:src.gns dst.gns;
+  dst.mask <- src.mask;
+  dst.used <- src.used;
+  dst.occ <- Copy.ints_into ~src:src.occ dst.occ;
+  dst.nocc <- src.nocc;
+  dst.gkeys <- Copy.ints_into ~src:src.gkeys dst.gkeys;
+  dst.gvals <- Copy.ints_into ~src:src.gvals dst.gvals;
+  dst.ggens <- Copy.ints_into ~src:src.ggens dst.ggens;
+  dst.gmask <- src.gmask;
+  dst.gused <- src.gused;
+  dst.gocc <- Copy.ints_into ~src:src.gocc dst.gocc;
+  dst.ngocc <- src.ngocc;
+  dst.gens <- Copy.ints_into ~src:src.gens dst.gens;
+  dst.epoch <- src.epoch;
+  dst.global_gen <- src.global_gen;
+  dst.inserts <- src.inserts;
+  dst.ilog <- Copy.ints_into ~src:src.ilog dst.ilog;
+  dst.nilog <- src.nilog;
+  dst.hits <- src.hits;
+  dst.misses <- src.misses;
+  dst.epoch_limit <- src.epoch_limit
 
 let hits t = t.hits
 let misses t = t.misses

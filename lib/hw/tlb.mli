@@ -132,6 +132,11 @@ val record_miss : t -> unit
 val size : t -> int
 (** Number of live entries (all ASIDs plus globals). *)
 
+val restore : src:t -> t -> unit
+(** [restore ~src dst] makes [dst] a copy of [src] in place: entries,
+    tags, slot layout, insert log and statistics, so the two serve and
+    log identically from here on.  No array is shared afterwards. *)
+
 (** {2 Insert log}
 
     For checkers that re-examine only what changed: while armed, every

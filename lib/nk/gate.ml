@@ -23,6 +23,23 @@ type t = {
   mutable inject : Nkinject.t option;
 }
 
+let restore ~src dst =
+  if
+    src.entry_va <> dst.entry_va || src.exit_va <> dst.exit_va
+    || src.trap_va <> dst.trap_va
+    || src.secure_stack_top <> dst.secure_stack_top
+  then invalid_arg "Gate.restore: gates installed at different addresses";
+  dst.strict <- src.strict;
+  dst.entry_cost <- src.entry_cost;
+  dst.exit_cost <- src.exit_cost;
+  dst.trap_cost <- src.trap_cost;
+  dst.crossings <- src.crossings;
+  dst.fast_rsp <- Array.map Array.copy src.fast_rsp;
+  dst.fast_flags <- Array.map Array.copy src.fast_flags;
+  dst.fast_depth <- Array.copy src.fast_depth;
+  dst.wp_isolation_failures <- src.wp_isolation_failures;
+  dst.inject <- src.inject
+
 let callout_entry_done = 1
 let callout_exit_done = 2
 let callout_trap = 3

@@ -48,6 +48,11 @@ type t = {
           refuses the crossing before touching any state *)
 }
 
+val restore : src:t -> t -> unit
+(** Copy [src]'s mutable state (mode, cost memos, counters, fast-path
+    stacks) into [dst]; the injector is shared.  Raises
+    [Invalid_argument] unless both gates sit at the same addresses. *)
+
 val callout_exit_done : int
 val callout_trap : int
 (** [Callout] codes marking the end of each gate routine. *)

@@ -30,6 +30,18 @@ let create ~frames =
 
 let frames = Array.length
 
+let restore ~src dst =
+  if Array.length src <> Array.length dst then
+    invalid_arg "Pgdesc.restore: tables differ in size";
+  Array.iteri
+    (fun f s ->
+      let d = dst.(f) in
+      d.ptype <- s.ptype;
+      d.mappings <- s.mappings;
+      d.validated_code <- s.validated_code;
+      d.owner <- s.owner)
+    src
+
 let get t f =
   if f < 0 || f >= Array.length t then
     invalid_arg (Printf.sprintf "Pgdesc.get: frame %d out of range" f);

@@ -39,6 +39,11 @@ type t
 
 val create : frames:int -> t
 val frames : t -> int
+
+val restore : src:t -> t -> unit
+(** Copy every descriptor of [src] into [dst]'s descriptor records.
+    Raises [Invalid_argument] if the tables differ in size. *)
+
 val get : t -> Addr.frame -> desc
 val page_type : t -> Addr.frame -> page_type
 val set_type : t -> Addr.frame -> page_type -> unit

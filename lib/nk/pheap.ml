@@ -24,6 +24,14 @@ let create ~base ~size =
 
 let set_inject t inj = t.inject <- inj
 
+let restore ~src dst =
+  if src.base <> dst.base || src.size <> dst.size then
+    invalid_arg "Pheap.restore: heaps differ in placement";
+  dst.free_list <- src.free_list;
+  Copy.hashtbl ~src:src.live dst.live;
+  dst.allocated <- src.allocated;
+  dst.inject <- src.inject
+
 let alloc t req =
   if req <= 0 then invalid_arg "Pheap.alloc: non-positive size";
   if Nkinject.fire_opt t.inject Nkinject.Pheap_exhausted then None

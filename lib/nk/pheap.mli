@@ -23,6 +23,11 @@ val free : t -> Addr.va -> (unit, Nk_error.t) result
 
 val set_inject : t -> Nkinject.t option -> unit
 
+val restore : src:t -> t -> unit
+(** Copy [src]'s free list, live blocks and injector (shared) into
+    [dst].  Raises [Invalid_argument] unless both heaps cover the same
+    range. *)
+
 val block_size : t -> Addr.va -> int option
 (** Size of the live allocation starting at [va]. *)
 

@@ -154,6 +154,36 @@ let is_deferred t ~vpage (e : Tlb.entry) =
 
 let deferred_live t = t.deferred_count
 
+(* Records with mutable fields are copied, so the restored state never
+   shares them with [src]; the pending-flush records and lists are
+   immutable and are shared. *)
+let restore ~src dst =
+  if
+    src.root_pml4 <> dst.root_pml4 || src.idt_va <> dst.idt_va
+    || src.nk_first_frame <> dst.nk_first_frame
+    || src.nk_frame_count <> dst.nk_frame_count
+  then invalid_arg "State.restore: states booted with different layouts";
+  Gate.restore ~src:src.gate dst.gate;
+  Pgdesc.restore ~src:src.descs dst.descs;
+  Pheap.restore ~src:src.heap dst.heap;
+  Copy.hashtbl ~value:(fun wd -> { wd with wd_active = wd.wd_active })
+    ~src:src.write_descriptors dst.write_descriptors;
+  Copy.hashtbl ~src:src.pcid_roots dst.pcid_roots;
+  Copy.hashtbl ~src:src.deferred_frames dst.deferred_frames;
+  Copy.hashtbl ~src:src.deferred_slots dst.deferred_slots;
+  dst.deferred_count <- src.deferred_count;
+  dst.next_wd_id <- src.next_wd_id;
+  dst.lock_held <- src.lock_held;
+  dst.denied_writes <- src.denied_writes;
+  Copy.ints ~src:src.sc_roots dst.sc_roots;
+  Copy.ints ~src:src.sc_bases dst.sc_bases;
+  Copy.hashtbl ~value:(fun d -> { d with dom_live = d.dom_live })
+    ~src:src.domains dst.domains;
+  Copy.hashtbl ~value:(fun p -> { p with pipe_buf = Queue.copy p.pipe_buf })
+    ~src:src.pipes dst.pipes;
+  dst.next_domain <- src.next_domain;
+  dst.cur_domain <- src.cur_domain
+
 let register_wd t wd = Hashtbl.replace t.write_descriptors wd.wd_id wd
 
 let entry_va_of_pte ~ptp ~index =

@@ -122,6 +122,15 @@ val is_deferred : t -> vpage:int -> Tlb.entry -> bool
 val deferred_live : t -> int
 (** Number of pending lazy-invalidation records. *)
 
+val restore : src:t -> t -> unit
+(** [restore ~src dst] copies the nested kernel's own state — gate,
+    page descriptors, heap, write descriptors, PCID bindings, the
+    deferred-flush queue, domains and pipes, and the scalars — from
+    [src] into [dst]'s existing objects.  The machine is not touched:
+    restore it with {!Nkhw.Smp.restore} or {!Nkhw.Machine.restore}.
+    Raises [Invalid_argument] unless both states booted with the same
+    layout. *)
+
 val register_wd : t -> wd -> unit
 
 val entry_va_of_pte : ptp:Addr.frame -> index:int -> Addr.va

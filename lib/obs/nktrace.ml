@@ -354,6 +354,13 @@ let clear t =
   t.str_vals <- [||];
   t.str_count <- 0
 
+let restore_counters ~src dst =
+  Array.blit src.cvals 0 dst.cvals 0 n_counters;
+  Array.blit src.ctouched 0 dst.ctouched 0 n_counters;
+  Hashtbl.reset dst.ccustom;
+  Hashtbl.iter (fun name r -> Hashtbl.replace dst.ccustom name (ref !r)) src.ccustom;
+  dst.cpu <- src.cpu
+
 let push t kind code arg =
   let cap = Array.length t.r_kind in
   if t.filled = cap then t.dropped <- t.dropped + 1

@@ -161,6 +161,11 @@ val clear : t -> unit
 (** Drop all recorded events, counters and histograms (does not change
     the enabled state, CPU tag or cycle source). *)
 
+val restore_counters : src:t -> t -> unit
+(** Copy [src]'s counter values (custom counters included) and CPU tag
+    into [dst].  The ring, histograms, spans, enabled state and cycle
+    source of [dst] are left as they are. *)
+
 val count : t -> counter -> unit
 (** Bump a counter.  Always live — counters accumulate even while the
     tracer is disabled; only the ring entry is skipped then. *)

@@ -65,6 +65,38 @@ let prop_bytes_roundtrip =
       Phys_mem.write_bytes mem pa (Bytes.of_string s);
       Bytes.to_string (Phys_mem.read_bytes mem pa (String.length s)) = s)
 
+let test_restore () =
+  let src = Phys_mem.create ~frames:4 in
+  Phys_mem.write_u64 src 8 0x1234;
+  Phys_mem.write_u8 src (3 * 4096) 0x7f;
+  Phys_mem.watch_frame src 1;
+  Phys_mem.watch_frame src 2;
+  Phys_mem.write_u8 src 4096 1;
+  let dst = Phys_mem.create ~frames:4 in
+  Phys_mem.write_u64 dst 16 0x99;
+  Phys_mem.restore ~src dst;
+  Alcotest.(check int) "word copied" 0x1234 (Phys_mem.read_u64 dst 8);
+  Alcotest.(check int) "stale word gone" 0 (Phys_mem.read_u64 dst 16);
+  Alcotest.(check int) "last frame copied" 0x7f (Phys_mem.read_u8 dst (3 * 4096));
+  Alcotest.(check (list int)) "logged store copied" [ 1 ]
+    (List.init (Phys_mem.logged_stores dst) (Phys_mem.logged_store dst));
+  (* A logged frame is logged once; the other watched frame still logs;
+     none of it reaches the source. *)
+  Phys_mem.write_u8 dst 4097 2;
+  Phys_mem.write_u8 dst (2 * 4096) 3;
+  Alcotest.(check (list int)) "copy keeps logging" [ 1; 2 ]
+    (List.init (Phys_mem.logged_stores dst) (Phys_mem.logged_store dst));
+  Alcotest.(check int) "source log unchanged" 1 (Phys_mem.logged_stores src);
+  Alcotest.(check int) "source plane unchanged" 0 (Phys_mem.read_u8 src (2 * 4096));
+  (* Restoring from a memory with the log off turns the copy's off. *)
+  Phys_mem.restore ~src:(Phys_mem.create ~frames:4) dst;
+  Phys_mem.write_u8 dst 4096 1;
+  Alcotest.(check int) "log off" 0 (Phys_mem.logged_stores dst);
+  Alcotest.(check int) "plane cleared" 0 (Phys_mem.read_u64 dst 8);
+  Alcotest.check_raises "sizes must match"
+    (Invalid_argument "Phys_mem.restore: memories differ in size") (fun () ->
+      Phys_mem.restore ~src:(Phys_mem.create ~frames:2) dst)
+
 let suite =
   [
     Alcotest.test_case "create" `Quick test_create;
@@ -74,6 +106,7 @@ let suite =
     Alcotest.test_case "bulk straddling frames" `Quick test_bytes_straddle;
     Alcotest.test_case "bounds checking" `Quick test_bounds;
     Alcotest.test_case "zero and copy frames" `Quick test_zero_copy_frame;
+    Alcotest.test_case "restore in place" `Quick test_restore;
     prop_u64_roundtrip;
     prop_bytes_roundtrip;
   ]

@@ -227,6 +227,45 @@ let test_wp_isolation_invariant () =
   Alcotest.(check bool) "relaxed peer WP is flagged" true
     (g.Gate.wp_isolation_failures > 0)
 
+(* Restore covers what the model checker's universes never reach: a
+   third CPU, a halted CPU, a different active CPU on each side, an open
+   gate.  The copy must land on [dst]'s own objects and share none. *)
+let test_restore () =
+  let src_m, src_nk, src = setup () in
+  let dst_m, dst_nk, dst = setup () in
+  List.iter (fun smp -> ignore (Smp.add_cpu smp); ignore (Smp.add_cpu smp)) [ src; dst ];
+  Smp.send_ipi src ~target:2 Smp.Halt;
+  ignore (Smp.drain_ipis src 2);
+  Smp.send_ipi src ~target:1 Smp.Reschedule;
+  Smp.activate src 1;
+  Cpu_state.set src_m.Machine.cpu Insn.RAX 7;
+  Phys_mem.write_u8 src_m.Machine.mem 0x1234 0x5a;
+  src_m.Machine.in_nested_kernel <- true;
+  src_nk.State.lock_held <- true;
+  Smp.restore ~src dst;
+  State.restore ~src:src_nk dst_nk;
+  let ctx id = Smp.ctx dst id in
+  Alcotest.(check int) "active cpu" 1 (Smp.active dst);
+  Alcotest.(check bool) "view on dst's own cpu 1" true
+    (dst_m.Machine.cpu == (ctx 1).Smp.cpu
+    && dst_m.Machine.cr == (ctx 1).Smp.cr
+    && dst_m.Machine.tlb == (ctx 1).Smp.tlb);
+  Alcotest.(check bool) "peers are dst's cpus 0 and 2" true
+    (dst_m.Machine.peer_ids = [| 0; 2 |]
+    && dst_m.Machine.peer_tlbs.(0) == (ctx 0).Smp.tlb
+    && dst_m.Machine.peer_tlbs.(1) == (ctx 2).Smp.tlb);
+  Alcotest.(check int) "registers" 7 (Cpu_state.get dst_m.Machine.cpu Insn.RAX);
+  Alcotest.(check bool) "halted cpu" true (Smp.halted dst 2);
+  Alcotest.(check int) "mailbox" 1 (Smp.pending_ipis dst 1);
+  Alcotest.(check int) "memory" 0x5a (Phys_mem.read_u8 dst_m.Machine.mem 0x1234);
+  Alcotest.(check bool) "gate state" true
+    (dst_m.Machine.in_nested_kernel && dst_nk.State.lock_held);
+  Cpu_state.set dst_m.Machine.cpu Insn.RAX 8;
+  ignore (Smp.drain_ipis dst 1);
+  Smp.activate dst 0;
+  Alcotest.(check (list int)) "source untouched" [ 1; 7; 1 ]
+    [ Smp.active src; Cpu_state.get src_m.Machine.cpu Insn.RAX; Smp.pending_ipis src 1 ]
+
 let suite =
   [
     Alcotest.test_case "bring-up" `Quick test_bring_up;
@@ -250,4 +289,5 @@ let suite =
     Alcotest.test_case "executor: halt protocol" `Quick test_executor_halts;
     Alcotest.test_case "I13: open gate never relaxes a peer's WP" `Quick
       test_wp_isolation_invariant;
+    Alcotest.test_case "restore in place" `Quick test_restore;
   ]

@@ -282,6 +282,88 @@ let prop_asid_flush_isolated =
       Tlb.lookup tlb ~asid:a ~vpage = None
       && Tlb.lookup tlb ~asid:b ~vpage <> None)
 
+(* --- in-place restore ------------------------------------------ *)
+
+let live tlb =
+  let l = ref [] in
+  Tlb.iter_live_packed tlb ~f:(fun ~asid ~vpage w -> l := (asid, vpage, w) :: !l);
+  List.sort compare !l
+
+(* Enough entries to grow the (asid, vpage) table past its initial 2048
+   slots and the global table past 128. *)
+let grown () =
+  let tlb = Tlb.create () in
+  for v = 0 to 1499 do
+    Tlb.insert tlb ~asid:(v mod 3) ~vpage:(1000 + v) (entry v)
+  done;
+  for v = 0 to 99 do
+    Tlb.insert tlb ~asid:0 ~vpage:(9000 + v) (entry ~global:true v)
+  done;
+  tlb
+
+let small () =
+  let tlb = Tlb.create () in
+  Tlb.insert tlb ~asid:0 ~vpage:1 (entry 10);
+  Tlb.insert tlb ~asid:1 ~vpage:1 (entry ~writable:false 11);
+  Tlb.insert tlb ~asid:0 ~vpage:7 (entry ~global:true 12);
+  Tlb.flush_asid tlb ~asid:1;
+  Tlb.insert tlb ~asid:1 ~vpage:2 (entry 13);
+  tlb
+
+(* The same traffic on two TLBs must leave them serving the same
+   entries with the same statistics. *)
+let same_behaviour msg a b =
+  Alcotest.(check bool) (msg ^ ": same live entries") true (live a = live b);
+  let drive t =
+    Tlb.insert t ~asid:2 ~vpage:3 (entry 30);
+    Tlb.flush_page t ~vpage:1;
+    ignore (Tlb.lookup t ~asid:0 ~vpage:7);
+    ignore (Tlb.lookup t ~asid:1 ~vpage:2);
+    Tlb.flush_asid t ~asid:0;
+    Tlb.insert t ~asid:0 ~vpage:4 (entry ~global:true 40);
+    (live t, Tlb.hits t, Tlb.misses t, Tlb.logged_inserts t)
+  in
+  Alcotest.(check bool) (msg ^ ": same after more traffic") true (drive a = drive b)
+
+let test_restore_across_sizes () =
+  let src = small () and dst = grown () in
+  Tlb.restore ~src dst;
+  same_behaviour "grown dst" (small ()) dst;
+  let src = grown () and dst = small () in
+  Tlb.restore ~src dst;
+  let before = live src in
+  same_behaviour "grown src" (grown ()) dst;
+  Alcotest.(check bool) "source untouched by the copy's traffic" true
+    (live src = before)
+
+let test_restore_insert_log () =
+  let src = small () in
+  Tlb.start_insert_log src;
+  Tlb.insert src ~asid:0 ~vpage:5 (entry 50);
+  Tlb.insert src ~asid:0 ~vpage:6 (entry ~global:true 60);
+  let dst = Tlb.create () in
+  Tlb.restore ~src dst;
+  let log t =
+    List.init (Tlb.logged_inserts t) (fun i -> (Tlb.logged_asid t i, Tlb.logged_vpage t i))
+  in
+  Alcotest.(check (list (pair int int))) "armed log copied" [ (0, 5); (-1, 6) ] (log dst);
+  Tlb.insert dst ~asid:1 ~vpage:8 (entry 80);
+  Alcotest.(check int) "copy logs on its own" 3 (Tlb.logged_inserts dst);
+  Alcotest.(check int) "source log unchanged" 2 (Tlb.logged_inserts src);
+  (* An overflowed log stays overflowed in the copy. *)
+  for v = 0 to 1099 do
+    Tlb.insert src ~asid:0 ~vpage:(20_000 + v) (entry v)
+  done;
+  Alcotest.(check bool) "source overflowed" true (Tlb.insert_log_overflowed src);
+  Tlb.restore ~src dst;
+  Alcotest.(check bool) "copy overflowed" true (Tlb.insert_log_overflowed dst);
+  same_behaviour "overflowed" src dst;
+  (* Restoring from a TLB with the log off turns the copy's off. *)
+  Tlb.restore ~src:(small ()) dst;
+  Tlb.insert dst ~asid:0 ~vpage:5 (entry 50);
+  Alcotest.(check int) "log off" 0 (Tlb.logged_inserts dst);
+  Alcotest.(check bool) "not overflowed" false (Tlb.insert_log_overflowed dst)
+
 let suite =
   [
     Alcotest.test_case "miss then hit" `Quick test_miss_then_hit;
@@ -306,6 +388,8 @@ let suite =
     Alcotest.test_case "differential vs reference map" `Quick test_differential;
     Alcotest.test_case "differential with epoch wraparound" `Quick
       test_differential_epoch_wrap;
+    Alcotest.test_case "restore across table sizes" `Quick test_restore_across_sizes;
+    Alcotest.test_case "restore copies the insert log" `Quick test_restore_insert_log;
     prop_insert_lookup;
     prop_asid_flush_isolated;
   ]
