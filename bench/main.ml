@@ -574,7 +574,19 @@ let extra_latency_hist () =
   let hists pred (snap : Tr.snapshot) =
     List.filter (fun (name, _) -> pred name) snap.Tr.histograms
   in
-  let summary h = Json.of_string (Tr.summary_to_json h) in
+  let summary (h : Tr.hist_summary) =
+    Json.Obj
+      [
+        ("count", Json.int h.Tr.h_count);
+        ("min", Json.int h.Tr.h_min);
+        ("max", Json.int h.Tr.h_max);
+        ("mean", Json.float 2 h.Tr.h_mean);
+        ("p50", Json.int h.Tr.p50);
+        ("p95", Json.int h.Tr.p95);
+        ("p99", Json.int h.Tr.p99);
+        ("p999", Json.int h.Tr.p999);
+      ]
+  in
   json_add "latency_hist"
     (Json.Obj
        (List.map

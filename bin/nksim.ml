@@ -133,12 +133,21 @@ let inject_arg =
               reported after the run.")
 
 let cpus_arg =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 && n <= Sys.int_size -> Ok n
+    | _ ->
+        Error
+          (`Msg
+            (Printf.sprintf "%S is not a CPU count between 1 and %d" s
+               Sys.int_size))
+  in
   Arg.(
     value
-    & opt int 1
+    & opt (conv (parse, Format.pp_print_int)) 1
     & info [ "cpus" ] ~docv:"N"
         ~doc:"Bring up $(docv) vCPUs (per-CPU kernel stacks, run queues \
-              and gate state).")
+              and gate state), at most one per bit of an OCaml int.")
 
 let sched_seed_arg =
   Arg.(

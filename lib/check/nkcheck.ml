@@ -455,15 +455,15 @@ let ipi_tag = function Smp.Reschedule -> 1 | Smp.Shootdown -> 2 | Smp.Halt -> 3
 
 let fp_tlb h tlb =
   let entries = ref [] in
-  Tlb.iter_live tlb ~f:(fun ~asid ~vpage (e : Tlb.entry) ->
+  Tlb.iter_live_packed tlb ~f:(fun ~asid ~vpage w ->
       entries :=
-        ( Option.value asid ~default:(-1),
+        ( asid,
           vpage,
-          e.Tlb.frame,
-          (if e.Tlb.writable then 1 else 0)
-          lor (if e.Tlb.user then 2 else 0)
-          lor (if e.Tlb.nx then 4 else 0)
-          lor if e.Tlb.global then 8 else 0 )
+          Tlb.packed_frame w,
+          (if Tlb.packed_writable w then 1 else 0)
+          lor (if Tlb.packed_user w then 2 else 0)
+          lor (if Tlb.packed_nx w then 4 else 0)
+          lor if Tlb.packed_global w then 8 else 0 )
         :: !entries);
   fp_list h
     (fun h (a, v, f, fl) -> fp_mix (fp_mix (fp_mix (fp_mix h a) v) f) fl)

@@ -277,14 +277,11 @@ let check_va ?(deferred = no_deferred) ?(op = "access") m va =
    Everything below is flat int arrays: an event with no trigger
    allocates nothing. *)
 
-(* Index keys: TLB slot, ASID + 1 (0 = global), vpage. *)
-let asid_shift = 36
+(* Index keys: the TLB slot above that TLB's own {!Tlb.key}.  Each
+   entry also keeps its ASID, decoded once when it is indexed: the root
+   sweep reads it for every entry at every address-space switch. *)
 let slot_shift = 49
-let key ~slot ~asid ~vpage =
-  (slot lsl slot_shift) lor ((asid + 1) lsl asid_shift) lor vpage
 let key_slot k = k lsr slot_shift
-let key_asid k = ((k lsr asid_shift) land 0x1fff) - 1
-let key_vpage k = k land ((1 lsl asid_shift) - 1)
 
 (* splitmix64's finalizer, constants truncated to OCaml's int width:
    the slot bits sit far above the table mask and must reach it. *)
@@ -311,6 +308,7 @@ type state = {
   mutable s_cnt : int array;  (* indexed entries *)
   (* indexed entries; the path nodes of entry [e] are [4e .. 4e+3] *)
   mutable e_key : int array;  (* -1 = free *)
+  mutable e_asid : int array;  (* the key's ASID, -1 = global *)
   mutable e_root : int array;  (* root of the last walk, -1 = skipped *)
   mutable e_top : int array;  (* the root-table word that walk read *)
   mutable e_mark : int array;  (* event the entry was last queued at *)
@@ -361,6 +359,7 @@ let create_state ~resolve ~deferred (m : Machine.t) =
     s_scan = [||];
     s_cnt = [||];
     e_key = Array.make cap (-1);
+    e_asid = Array.make cap 0;
     e_root = Array.make cap (-1);
     e_top = Array.make cap 0;
     e_mark = Array.make cap (-1);
@@ -515,6 +514,7 @@ let grow_entries st =
   let cap = Array.length st.e_key in
   let n = 2 * cap in
   st.e_key <- grow st.e_key n (-1);
+  st.e_asid <- grow st.e_asid n 0;
   st.e_root <- grow st.e_root n (-1);
   st.e_top <- grow st.e_top n 0;
   st.e_mark <- grow st.e_mark n (-1);
@@ -526,7 +526,7 @@ let grow_entries st =
   st.dirty <- grow st.dirty n 0;
   st.special <- grow st.special n 0
 
-let add_entry st k =
+let add_entry st k ~asid =
   if st.nlive = st.nent then begin
     if st.nent = Array.length st.e_key then grow_entries st;
     st.live.(st.nent) <- st.nent;
@@ -536,10 +536,11 @@ let add_entry st k =
   let e = st.live.(st.nlive) in
   st.nlive <- st.nlive + 1;
   st.e_key.(e) <- k;
+  st.e_asid.(e) <- asid;
   st.e_root.(e) <- -1;
   st.e_mark.(e) <- -1;
   hadd st k e;
-  let slot = key_slot k and asid = key_asid k in
+  let slot = key_slot k in
   st.s_cnt.(slot) <- st.s_cnt.(slot) + 1;
   if asid >= 0 then asid_ref st asid;
   e
@@ -550,7 +551,7 @@ let remove_entry st e =
     if st.n_frame.((4 * e) + i) >= 0 then unlink st ((4 * e) + i)
   done;
   hremove st k;
-  let slot = key_slot k and asid = key_asid k in
+  let slot = key_slot k and asid = st.e_asid.(e) in
   st.s_cnt.(slot) <- st.s_cnt.(slot) - 1;
   if asid >= 0 then asid_unref st asid;
   st.e_key.(e) <- -1;
@@ -569,14 +570,17 @@ let mark st e =
     st.ndirty <- st.ndirty + 1
   end
 
-(* Queue the entry for (slot, asid, vpage) — indexing it first when it
-   is new and still live (a fill already flushed again needs nothing). *)
-let note_fill st ~slot ~asid ~vpage =
-  let k = key ~slot ~asid ~vpage in
+(* Queue the entry for TLB [slot]'s {!Tlb.key} [tk] — indexing it
+   first when it is new and still live (a fill already flushed again
+   needs nothing). *)
+let note_fill st ~slot tk =
+  let k = (slot lsl slot_shift) lor tk in
   let e = hfind st k in
   if e >= 0 then mark st e
-  else if Tlb.live_packed st.tlbs.(slot) ~asid ~vpage <> Tlb.miss then
-    mark st (add_entry st k)
+  else
+    let asid = Tlb.key_asid tk in
+    let w = Tlb.live_packed st.tlbs.(slot) ~asid ~vpage:(Tlb.key_vpage tk) in
+    if w <> Tlb.miss then mark st (add_entry st k ~asid)
 
 (* --- TLB registry --------------------------------------------------- *)
 
@@ -618,7 +622,7 @@ let top_word st ~root ~vpage =
 (* Re-walk one entry against its current root and file the verdict. *)
 let recheck st e ~op =
   let k = st.e_key.(e) in
-  let slot = key_slot k and asid = key_asid k and vpage = key_vpage k in
+  let slot = key_slot k and asid = st.e_asid.(e) and vpage = Tlb.key_vpage k in
   let p = Tlb.live_packed st.tlbs.(slot) ~asid ~vpage in
   if p = Tlb.miss then remove_entry st e
   else begin
@@ -658,7 +662,9 @@ let sweep_dead st =
       let e = st.live.(j) in
       let k = st.e_key.(e) in
       let tlb = st.tlbs.(key_slot k) in
-      if Tlb.live_packed tlb ~asid:(key_asid k) ~vpage:(key_vpage k) = Tlb.miss
+      if
+        Tlb.live_packed tlb ~asid:st.e_asid.(e) ~vpage:(Tlb.key_vpage k)
+        = Tlb.miss
       then remove_entry st e
     done;
     st.swept <- st.nlive
@@ -716,13 +722,12 @@ let audit st ~op =
         if st.s_scan.(s) = 1 || Tlb.insert_log_overflowed tlb then begin
           mark_where st (fun e -> key_slot st.e_key.(e) = s);
           Tlb.iter_live_packed tlb ~f:(fun ~asid ~vpage _ ->
-              note_fill st ~slot:s ~asid ~vpage);
+              note_fill st ~slot:s (Tlb.key ~asid ~vpage));
           st.s_scan.(s) <- 0
         end
         else
           for i = 0 to Tlb.logged_inserts tlb - 1 do
-            note_fill st ~slot:s ~asid:(Tlb.logged_asid tlb i)
-              ~vpage:(Tlb.logged_vpage tlb i)
+            note_fill st ~slot:s (Tlb.logged_key tlb i)
           done;
         Tlb.clear_insert_log tlb
       end
@@ -765,14 +770,14 @@ let audit st ~op =
         let k = st.e_key.(e) in
         if st.e_mark.(e) <> st.ev then begin
           let old = st.e_root.(e) in
-          let r = expected_root st ~slot:(key_slot k) ~asid:(key_asid k) in
+          let r = expected_root st ~slot:(key_slot k) ~asid:st.e_asid.(e) in
           if r <> old then
             if
               r >= 0
               && st.n_frame.(4 * e) = old
               && old >= 0
               && Phys_mem.valid_frame mem r
-              && top_word st ~root:r ~vpage:(key_vpage k) = st.e_top.(e)
+              && top_word st ~root:r ~vpage:(Tlb.key_vpage k) = st.e_top.(e)
             then begin
               st.e_root.(e) <- r;
               unlink st (4 * e);

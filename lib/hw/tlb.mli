@@ -12,11 +12,12 @@
     are shared across all ASIDs and survive [flush_all].  Flushes are
     O(1) generation bumps; stale slots are reclaimed lazily.
 
-    The store is an open-addressed flat [int array] table — keys are
-    [asid lsl 36 lor vpage], cached translations single words in the
-    {!Pte} bit layout — so the hot lookup/insert pair allocates
+    The store is two instances of one open-addressed flat [int array]
+    table, one for per-ASID entries and a small one for globals, both
+    keyed by {!key}; cached translations are single words in the
+    {!Pte} bit layout, so the hot lookup/insert pair allocates
     nothing.  The [entry]-record API below is a convenience wrapper
-    over the packed one for tests and checkers. *)
+    over the packed one for tests. *)
 
 type entry = {
   frame : Addr.frame;
@@ -42,10 +43,6 @@ val peek : t -> asid:int -> vpage:int -> entry option
     accounting, no lazy slot reclamation.  For checkers (the coherence
     oracle) that must observe the TLB without perturbing it. *)
 
-val iter_live : t -> f:(asid:int option -> vpage:int -> entry -> unit) -> unit
-(** Visit every live cached translation; global entries are reported
-    with [asid = None] (they hit under every ASID). *)
-
 val insert : t -> asid:int -> vpage:int -> entry -> unit
 (** Fill under the given ASID; entries with [global = true] go to the
     shared global set instead. *)
@@ -59,6 +56,16 @@ val insert : t -> asid:int -> vpage:int -> entry -> unit
 
 val miss : int
 
+val key : asid:int -> vpage:int -> int
+(** The one name of a cached translation: [(asid + 1) lsl 36 lor
+    vpage], globals under ASID [-1], so a global's key is its bare
+    vpage.  Non-negative for [-1 <= asid < 2{^26}]; the table, the
+    insert log and the coherence oracle's index all use it. *)
+
+val key_asid : int -> int
+val key_vpage : int -> int
+(** Inverses of {!key}. *)
+
 val lookup_packed : t -> asid:int -> vpage:int -> int
 (** {!lookup}, returning the packed entry or [miss].  Same hit/miss
     accounting and lazy reclamation as {!lookup}. *)
@@ -69,8 +76,8 @@ val peek_packed : t -> asid:int -> vpage:int -> int
 val insert_packed : t -> asid:int -> vpage:int -> int -> unit
 
 val iter_live_packed : t -> f:(asid:int -> vpage:int -> int -> unit) -> unit
-(** {!iter_live} without the record boxing; global entries are
-    reported with [asid = -1]. *)
+(** Visit every live cached translation; global entries (which hit
+    under every ASID) are reported with [asid = -1]. *)
 
 val live_packed : t -> asid:int -> vpage:int -> int
 (** The one live entry {!iter_live_packed} would report under
@@ -140,8 +147,7 @@ val restore : src:t -> t -> unit
 (** {2 Insert log}
 
     For checkers that re-examine only what changed: while armed, every
-    fill is recorded as its (ASID, vpage) key — global entries under
-    ASID [-1].  Off by default, when a fill pays a single length test;
+    fill is recorded as its {!key} — global entries under ASID [-1].  Off by default, when a fill pays a single length test;
     it never charges simulated cycles. *)
 
 val start_insert_log : t -> unit
@@ -155,6 +161,5 @@ val insert_log_overflowed : t -> bool
     the reader must rescan the whole TLB. *)
 
 val logged_inserts : t -> int
-val logged_asid : t -> int -> int
-val logged_vpage : t -> int -> int
-(** The [i]-th logged fill, [0 <= i < logged_inserts t]. *)
+val logged_key : t -> int -> int
+(** The {!key} of the [i]-th logged fill, [0 <= i < logged_inserts t]. *)

@@ -99,10 +99,12 @@ let boot_native_paging (m : Machine.t) falloc ~pcid =
   m.Machine.idtr <- Some (Addr.kva_of_frame idt_frame);
   root
 
-let boot ?(frames = 8192) ?(batched = false) ?(pcid = true)
-    ?(coherence = false) ?(trace = false) ?(cpus = 1) ?(domains = 0) ?inject
-    config =
-  if cpus < 1 then invalid_arg "Kernel.boot: cpus must be >= 1";
+let boot ?(frames = 8192) ?(batched = false) ?(pcid = true) ?(trace = false)
+    ?(cpus = 1) ?(domains = 0) ?inject config =
+  (* One bit per CPU in an int: affinity and residency masks. *)
+  if cpus < 1 || cpus > Sys.int_size then
+    invalid_arg
+      (Printf.sprintf "Kernel.boot: cpus must be between 1 and %d" Sys.int_size);
   if domains < 0 then invalid_arg "Kernel.boot: domains must be >= 0";
   let m = Machine.create ~frames () in
   if trace then Nktrace.enable m.Machine.trace;
@@ -179,13 +181,6 @@ let boot ?(frames = 8192) ?(batched = false) ?(pcid = true)
       Frame_alloc.set_on_free falloc
         (Some (fun frame -> Nested_kernel.Api.nk_frame_released nk frame))
   | None -> ());
-  if coherence then
-    Coherence.enable m
-      ~root_of_asid:backend.Mmu_backend.root_of_asid
-      ?deferred:
-        (Option.map
-           (fun nk -> Nested_kernel.Api.nk_is_deferred nk)
-           nk);
   (* Kernel stack for the boot CPU. *)
   let kstack = Frame_alloc.alloc_exn falloc in
   Cpu_state.set m.Machine.cpu Insn.RSP (Addr.kva_of_frame (kstack + 1));

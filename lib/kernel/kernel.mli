@@ -60,23 +60,22 @@ and syscall_log = {
 }
 
 val boot :
-  ?frames:int -> ?batched:bool -> ?pcid:bool -> ?coherence:bool ->
-  ?trace:bool -> ?cpus:int -> ?domains:int -> ?inject:Nkinject.t -> Config.t -> t
+  ?frames:int -> ?batched:bool -> ?pcid:bool -> ?trace:bool -> ?cpus:int ->
+  ?domains:int -> ?inject:Nkinject.t -> Config.t -> t
 (** Boot the machine and kernel in the given configuration.  The
     system-call table is empty; {!Syscalls.install_all} (or {!Os.boot})
     populates it.  [batched] selects the batched vMMU backend
     (section 5.4 ablation; nested configurations only).  [pcid]
     (default on) enables CR4.PCIDE and tagged address-space switching
     backed by an ASID pool; turn it off for the ablation baseline.
-    [coherence] (default off) installs the differential TLB-coherence
-    oracle ({!Nkhw.Coherence}) for the whole run, raising
-    [Coherence.Violation] on any stale-and-more-permissive cached
-    translation.  [trace] (default off) enables the cycle-stamped
+    [trace] (default off) enables the cycle-stamped
     {!Nktrace} tracer on the machine from the first instruction;
     tracing charges no simulated cycles either way.  [cpus] (default 1)
     brings up that many CPUs: CPU 0 boots init (pid 1), the application
     processors come up idle with their own kernel stacks, control
-    registers and TLBs, ready for {!Sched} run queues.  [inject]
+    registers and TLBs, ready for {!Sched} run queues.  CPU sets are
+    int bitmasks, so [cpus] above [Sys.int_size] (63) raises
+    [Invalid_argument] before anything is allocated.  [inject]
     attaches a deterministic fault injector ({!Nkinject}) to every
     wired subsystem — frame allocator, IPI fabric, ASID pool, nested-
     kernel gate and heap, MMU backend, syscall dispatcher; it is

@@ -1,8 +1,6 @@
-let boot ?frames ?batched ?pcid ?coherence ?trace ?cpus ?domains ?inject config
-    =
+let boot ?frames ?batched ?pcid ?trace ?cpus ?domains ?inject config =
   let k =
-    Kernel.boot ?frames ?batched ?pcid ?coherence ?trace ?cpus ?domains ?inject
-      config
+    Kernel.boot ?frames ?batched ?pcid ?trace ?cpus ?domains ?inject config
   in
   Syscalls.install_all k;
   Vfs.add_sized_file k.Kernel.vfs "/bin/sh" (16 * 4096);
@@ -10,10 +8,8 @@ let boot ?frames ?batched ?pcid ?coherence ?trace ?cpus ?domains ?inject config
   Vfs.add_sized_file k.Kernel.vfs "/dev/null" 0;
   k
 
-let boot_with_files ?frames ?batched ?pcid ?coherence ?trace ?cpus ?domains
-    ?inject config files =
-  let k =
-    boot ?frames ?batched ?pcid ?coherence ?trace ?cpus ?domains ?inject config
-  in
+let boot_with_files ?frames ?batched ?pcid ?trace ?cpus ?domains ?inject
+    config files =
+  let k = boot ?frames ?batched ?pcid ?trace ?cpus ?domains ?inject config in
   List.iter (fun (name, size) -> Vfs.add_sized_file k.Kernel.vfs name size) files;
   k

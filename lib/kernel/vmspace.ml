@@ -70,7 +70,21 @@ let create env ~kernel_root =
       | Error e ->
           Frame_alloc.free env.falloc root;
           Error e
-      | Ok () ->
+      | Ok () -> (
+          (* Clear the (possibly half-) copied kernel half so the root
+             is empty again, then retire it. *)
+          let unwind e =
+            for index = 256 to Addr.entries_per_table - 1 do
+              let pe =
+                Page_table.get_entry env.machine.Machine.mem ~ptp:root ~index
+              in
+              if Pte.is_present pe then
+                ignore
+                  (env.backend.Mmu_backend.write_pte ~ptp:root ~index Pte.empty)
+            done;
+            retire_ptp env root;
+            Error e
+          in
           (* Share the kernel half (PML4 slots 256..511) of the source
              root; its user half is never copied here — fork installs
              user mappings page by page for copy-on-write. *)
@@ -89,20 +103,7 @@ let create env ~kernel_root =
               else copy (index + 1)
           in
           match copy 256 with
-          | Error e ->
-              (* Unwind the half-copied kernel half so the root is
-                 empty again, then retire it. *)
-              for index = 256 to Addr.entries_per_table - 1 do
-                let pe =
-                  Page_table.get_entry env.machine.Machine.mem ~ptp:root ~index
-                in
-                if Pte.is_present pe then
-                  ignore
-                    (env.backend.Mmu_backend.write_pte ~ptp:root ~index
-                       Pte.empty)
-              done;
-              retire_ptp env root;
-              Error e
+          | Error e -> unwind e
           | Ok () -> (
           charge env cost_region_setup;
           let asid_pair =
@@ -117,20 +118,7 @@ let create env ~kernel_root =
             | None -> Ok (0, 0)
           in
           match asid_pair with
-          | Error e ->
-              (* Clear the freshly-copied kernel half so the root is
-                 empty again, then retire it. *)
-              for index = 256 to Addr.entries_per_table - 1 do
-                let pe =
-                  Page_table.get_entry env.machine.Machine.mem ~ptp:root ~index
-                in
-                if Pte.is_present pe then
-                  ignore
-                    (env.backend.Mmu_backend.write_pte ~ptp:root ~index
-                       Pte.empty)
-              done;
-              retire_ptp env root;
-              Error e
+          | Error e -> unwind e
           | Ok (asid, asid_stamp) ->
               Ok
                 {
@@ -140,7 +128,7 @@ let create env ~kernel_root =
                   asid;
                   asid_stamp;
                   domain = 0;
-                }))
+                })))
 
 (* The ASID to switch under, revalidated against the pool: if the slot
    was stolen since the last switch, take a fresh one (the steal

@@ -9,6 +9,13 @@ let booted_nk ?(frames = 2048) () =
 
 let kernel config = Outer_kernel.Os.boot ~frames:4096 config
 
+(* Run a booted nested kernel under the differential TLB-coherence
+   oracle from here on: a stale-and-more-permissive cached translation
+   raises [Coherence.Violation]. *)
+let with_oracle (k : Outer_kernel.Kernel.t) =
+  Nested_kernel.Api.Diagnostics.Coherence.enable (Option.get k.nk);
+  k
+
 (* CI runs the suite twice with different NKSIM_SCHED_SEED values to
    flush out interleaving-dependent assertions; tests that drive the
    SMP executor should take their seed from here. *)

@@ -12,8 +12,8 @@ let ok = function
   | Ok v -> v
   | Error e -> Alcotest.failf "domains: %s" (Ktypes.errno_to_string e)
 
-let boot ?(cpus = 1) ?(domains = 2) ?coherence () =
-  Os.boot ~frames:4096 ~batched:true ~trace:true ~cpus ~domains ?coherence
+let boot ?(cpus = 1) ?(domains = 2) () =
+  Os.boot ~frames:4096 ~batched:true ~trace:true ~cpus ~domains
     Config.Perspicuos
 
 (* Everything a tenant's lifetime may consume: the free-frame bitmap,
@@ -255,7 +255,7 @@ let test_multitenant_seeded_determinism () =
   Alcotest.(check int) "clean run leaks nothing" 0 leaks
 
 let test_migration_mid_batch_oracle () =
-  let k = boot ~cpus:2 ~domains:2 ~coherence:true () in
+  let k = Helpers.with_oracle (boot ~cpus:2 ~domains:2 ()) in
   let p0 = Option.get (Kernel.proc k 1) in
   let domain = ok (Kernel.create_domain k) in
   let pid = ok (Syscalls.fork k p0) in

@@ -209,7 +209,7 @@ let prop_fuzzing_under_injection =
          oracle and invariant audit both stay silent. *)
       let inj = Nkinject.create ~seed ~rate:0.05 () in
       let k =
-        Os.boot ~frames:4096 ~coherence:true ~inject:inj Config.Perspicuos
+        Helpers.with_oracle (Os.boot ~frames:4096 ~inject:inj Config.Perspicuos)
       in
       let nk = Option.get k.Kernel.nk in
       let f0 = Frame_alloc.first_frame k.Kernel.falloc + 400 in

@@ -245,6 +245,26 @@ let test_mutant_raw_ptp_store () =
   caught_now "raw PTP store" r ~op:"shootdown_page" ~cpus:[ 1 ];
   Alcotest.(check int) "not a per-access catch" 0 (List.length r.va_hits)
 
+(* The index names an entry by its TLB slot above [Tlb.key], whose
+   ASID field must hold the top 12-bit PCID as well as the globals'. *)
+let test_top_pcid_indexed () =
+  let b = bare () in
+  b.m.Machine.cr.Cr.cr3 <- Cr.cr3_value ~frame:b.r1 ~pcid:4095;
+  Hashtbl.replace b.bind 4095 b.r1;
+  let r = wrap_equiv ~root_of_asid:(resolver b) b.m in
+  touch_user b;
+  touch_kernel b;
+  Machine.coherence_check b.m ~op:"settle";
+  clean_now "warm-up" r;
+  downgrade b;
+  Machine.shootdown_page b.m ~vpage:unrelated;
+  caught_now "stale under PCID 4095" r ~op:"shootdown_page" ~cpus:[ 0 ];
+  match r.events with
+  | { e_inc = [ v ]; _ } :: _ ->
+      Alcotest.(check (option int)) "its ASID" (Some 4095) v.Coherence.v_asid;
+      Alcotest.(check int) "its vpage" (Addr.vpage uva) v.Coherence.v_vpage
+  | _ -> Alcotest.fail "expected exactly the user entry flagged"
+
 (* Positional ids would call the active CPU 0 and the first parked
    peer 1, whichever CPUs they are. *)
 let test_real_cpu_ids () =
@@ -445,7 +465,8 @@ let test_insert_log () =
   Alcotest.(check (list (pair int int)))
     "fills, globals under -1" [ (3, 11); (-1, 12) ]
     (List.init (Tlb.logged_inserts tlb) (fun i ->
-         (Tlb.logged_asid tlb i, Tlb.logged_vpage tlb i)));
+         let k = Tlb.logged_key tlb i in
+          (Tlb.key_asid k, Tlb.key_vpage k)));
   for vp = 0 to 2000 do
     Tlb.insert tlb ~asid:1 ~vpage:vp (e false)
   done;
@@ -462,6 +483,7 @@ let suite =
     quick "mutant: PCID rebound without flush" test_mutant_pcid_rebind;
     quick "mutant: raw PTP store, parked peer" test_mutant_raw_ptp_store;
     quick "violations carry real CPU ids" test_real_cpu_ids;
+    quick "index keys hold the top PCID" test_top_pcid_indexed;
     prop_fuzz_equivalence;
     Alcotest.test_case "equivalent over 4 tenants" `Slow
       test_multitenant_equivalence;

@@ -3,8 +3,7 @@
    executor driving it all. *)
 open Outer_kernel
 
-let boot ?(cpus = 2) ?coherence () =
-  Os.boot ~frames:4096 ?coherence ~cpus Config.Perspicuos
+let boot ?(cpus = 2) () = Os.boot ~frames:4096 ~cpus Config.Perspicuos
 
 let fork1 k =
   match Syscalls.fork k (Kernel.current_proc k) with
@@ -106,7 +105,7 @@ let test_migration_mid_mmap_coherent () =
   (* A process migrated between CPUs in the middle of an mmap/munmap
      pair: the differential oracle must never see a
      stale-and-more-permissive translation on any CPU. *)
-  let k = boot ~cpus:2 ~coherence:true () in
+  let k = Helpers.with_oracle (boot ~cpus:2 ()) in
   let s = Sched.create k in
   let pid = fork1 k in
   Sched.add s pid;
@@ -188,6 +187,32 @@ let test_scaling_point_reproducible () =
   Alcotest.(check int) "per-CPU shootdown counts cover every CPU" 4
     (List.length a.Nk_workloads.Smp_scale.shootdowns)
 
+let test_cpu_count_fits_a_mask () =
+  (* CPU sets are int bitmasks: a 64th CPU would have no bit of its
+     own and every affinity mask would come out empty. *)
+  Alcotest.check_raises "64 CPUs rejected"
+    (Invalid_argument
+       (Printf.sprintf "Kernel.boot: cpus must be between 1 and %d"
+          Sys.int_size))
+    (fun () -> ignore (boot ~cpus:(Sys.int_size + 1) ()));
+  let last = Sys.int_size - 1 in
+  let k = boot ~cpus:Sys.int_size () in
+  let s = Sched.create k in
+  let pid = fork1 k in
+  Sched.add s pid;
+  Alcotest.(check int) "default mask has every bit set" (-1)
+    (Sched.affinity_of s pid);
+  Sched.set_affinity s pid (1 lsl last);
+  let ran = ref false in
+  ignore
+    (Sched.run_smp s ~policy:Nkhw.Smp.Executor.Round_robin
+       ~steps:(2 * Sys.int_size)
+       (fun ~cpu pid' ->
+         if cpu = last && pid' = pid then ran := true;
+         true));
+  Alcotest.(check bool) "the last CPU runs the process pinned to it" true
+    !ran
+
 let suite =
   [
     Alcotest.test_case "least-loaded placement" `Quick
@@ -204,4 +229,6 @@ let suite =
       test_trace_byte_identical;
     Alcotest.test_case "scaling workload reproducible" `Quick
       test_scaling_point_reproducible;
+    Alcotest.test_case "CPU count fits a mask" `Quick
+      test_cpu_count_fits_a_mask;
   ]

@@ -6,8 +6,7 @@ open Outer_kernel
 
 let page = Addr.page_size
 
-let boot ?(cpus = 1) ?coherence () =
-  Os.boot ~frames:4096 ?coherence ~cpus Config.Perspicuos
+let boot ?(cpus = 1) () = Os.boot ~frames:4096 ~cpus Config.Perspicuos
 
 let counter k ev =
   Nktrace.counter_value k.Kernel.machine.Machine.trace ev
@@ -45,7 +44,7 @@ let test_smp_scale_steals () =
    munmap's batched downgrade must still cover the TLB the touch
    filled on the CPU left behind. *)
 let test_migration_mid_batch () =
-  let k = boot ~cpus:2 ~coherence:true () in
+  let k = Helpers.with_oracle (boot ~cpus:2 ()) in
   let s = Sched.create k in
   let pid = fork1 k in
   Sched.add s pid;
@@ -97,7 +96,7 @@ let test_residency_reset () =
    carry the new address space's data, and the original owner's stale
    translation must be gone. *)
 let test_deferred_reuse_cross_asid () =
-  let k = boot ~coherence:true () in
+  let k = Helpers.with_oracle (boot ()) in
   let m = k.Kernel.machine in
   let p = Kernel.current_proc k in
   let nk = Option.get k.Kernel.nk in

@@ -64,6 +64,89 @@ let test_global_visible_in_all_asids () =
   Alcotest.(check bool) "asid 0 sees global" true
     (Tlb.lookup tlb ~asid:0 ~vpage:7 <> None)
 
+let frame_of w = if w = Tlb.miss then -1 else Tlb.packed_frame w
+
+let test_global_shadows_asid_entry () =
+  (* ASID 2's own entry for the page stays live, but the global wins. *)
+  let tlb = Tlb.create () in
+  Tlb.insert tlb ~asid:2 ~vpage:7 (entry 71);
+  Tlb.insert tlb ~asid:1 ~vpage:7 (entry ~global:true 70);
+  Alcotest.(check int) "global shadows asid 2's entry" 70
+    (frame_of (Tlb.lookup_packed tlb ~asid:2 ~vpage:7));
+  Alcotest.(check int) "peek agrees" 70
+    (frame_of (Tlb.peek_packed tlb ~asid:2 ~vpage:7));
+  Alcotest.(check int) "asid 2's entry still live" 71
+    (frame_of (Tlb.live_packed tlb ~asid:2 ~vpage:7));
+  Alcotest.(check int) "global entry live" 70
+    (frame_of (Tlb.live_packed tlb ~asid:(-1) ~vpage:7));
+  Alcotest.(check int) "both counted" 2 (Tlb.size tlb)
+
+let vmax = (1 lsl 36) - 1
+
+let test_one_key () =
+  (* The table, the insert log and the coherence oracle's index all
+     name a translation by [Tlb.key]; a global's key is its bare vpage. *)
+  Alcotest.(check int) "global key is the vpage" 1234
+    (Tlb.key ~asid:(-1) ~vpage:1234);
+  List.iter
+    (fun (asid, vpage) ->
+      let k = Tlb.key ~asid ~vpage in
+      Alcotest.(check bool) "non-negative" true (k >= 0);
+      Alcotest.(check (pair int int)) "round trip" (asid, vpage)
+        (Tlb.key_asid k, Tlb.key_vpage k))
+    [ (-1, 0); (-1, vmax); (0, 0); (0, vmax); (4095, 7); (4095, vmax) ];
+  let tlb = Tlb.create () in
+  Tlb.start_insert_log tlb;
+  Tlb.insert tlb ~asid:4095 ~vpage:vmax (entry 1);
+  Tlb.insert tlb ~asid:3 ~vpage:5 (entry ~global:true 2);
+  Alcotest.(check (list int)) "the log holds the keys"
+    [ Tlb.key ~asid:4095 ~vpage:vmax; 5 ]
+    (List.init (Tlb.logged_inserts tlb) (Tlb.logged_key tlb));
+  Alcotest.(check int) "live under its key" 1
+    (frame_of (Tlb.live_packed tlb ~asid:4095 ~vpage:vmax))
+
+let test_probes_see_live_only () =
+  let tlb = Tlb.create () in
+  Tlb.insert tlb ~asid:1 ~vpage:5 (entry 10);
+  Tlb.insert tlb ~asid:2 ~vpage:9 (entry ~global:true 20);
+  Alcotest.(check bool) "asid 1 held" true (Tlb.holds_asid tlb ~asid:1);
+  Alcotest.(check bool) "a global is no ASID's" false
+    (Tlb.holds_asid tlb ~asid:2);
+  Tlb.flush_asid tlb ~asid:1;
+  Alcotest.(check bool) "flushed asid not held" false
+    (Tlb.holds_asid tlb ~asid:1);
+  Alcotest.(check bool) "flushed page not held" false
+    (Tlb.holds_span tlb ~vpage:5 ~count:1);
+  Tlb.flush_all tlb;
+  Alcotest.(check bool) "global survives a full flush" true
+    (Tlb.holds_span tlb ~vpage:0 ~count:16);
+  Tlb.flush_global_too tlb;
+  Alcotest.(check bool) "nothing held" false
+    (Tlb.holds_span tlb ~vpage:0 ~count:16)
+
+let test_asid_ranges_stop_at_neighbours () =
+  (* One ASID's keys are a contiguous range; the entries just outside
+     it — ASID 0's last vpage, ASID 2's first — must survive a
+     wraparound purge of ASID 1 and never count as ASID 1's. *)
+  let tlb = Tlb.create ~epoch_limit:3 () in
+  Tlb.insert tlb ~asid:0 ~vpage:vmax (entry 1);
+  Tlb.insert tlb ~asid:2 ~vpage:0 (entry 2);
+  Tlb.insert tlb ~asid:1 ~vpage:0 (entry 3);
+  Tlb.insert tlb ~asid:1 ~vpage:vmax (entry 4);
+  for _ = 1 to 3 do
+    Tlb.flush_asid tlb ~asid:1
+  done;
+  (* The generation wrapped back to the one ASID 1's entries were filled
+     under: only the purge keeps them from coming back to life. *)
+  Alcotest.(check bool) "asid 1 empty" false (Tlb.holds_asid tlb ~asid:1);
+  Alcotest.(check int) "asid 1 misses" (-1)
+    (frame_of (Tlb.peek_packed tlb ~asid:1 ~vpage:0));
+  Alcotest.(check int) "asid 0 neighbour" 1
+    (frame_of (Tlb.live_packed tlb ~asid:0 ~vpage:vmax));
+  Alcotest.(check int) "asid 2 neighbour" 2
+    (frame_of (Tlb.live_packed tlb ~asid:2 ~vpage:0));
+  Alcotest.(check int) "only the neighbours remain" 2 (Tlb.size tlb)
+
 let test_flush_asid () =
   let tlb = Tlb.create () in
   Tlb.insert tlb ~asid:1 ~vpage:1 (entry 10);
@@ -196,6 +279,10 @@ let differential_soak ?epoch_limit ~seed ~ops () =
         | Some e -> string_of_int e.Tlb.frame
         | None -> "miss")
   in
+  (* Every fill since the last sweep, as the insert log must hold it. *)
+  let logged = ref [] in
+  Tlb.start_insert_log tlb;
+  let entry_of w = if w = Tlb.miss then None else Some (Tlb.unpack w) in
   let sweep () =
     for asid = 0 to n_asids - 1 do
       for vpage = 0 to n_vpages - 1 do
@@ -203,7 +290,60 @@ let differential_soak ?epoch_limit ~seed ~ops () =
       done
     done;
     let live = Hashtbl.length ref_local + Hashtbl.length ref_glob in
-    Alcotest.(check int) "live-entry count" live (Tlb.size tlb)
+    Alcotest.(check int) "live-entry count" live (Tlb.size tlb);
+    (* The per-entry views: one ASID's own entry (the global set for
+       ASID -1), the full live set, and the occupancy probes. *)
+    for vpage = 0 to n_vpages - 1 do
+      if
+        entry_of (Tlb.live_packed tlb ~asid:(-1) ~vpage)
+        <> Hashtbl.find_opt ref_glob vpage
+      then Alcotest.failf "live_packed global vpage=%d" vpage;
+      for asid = 0 to n_asids - 1 do
+        if
+          entry_of (Tlb.live_packed tlb ~asid ~vpage)
+          <> Hashtbl.find_opt ref_local (asid, vpage)
+        then Alcotest.failf "live_packed asid=%d vpage=%d" asid vpage
+      done
+    done;
+    let got = ref [] in
+    Tlb.iter_live_packed tlb ~f:(fun ~asid ~vpage w ->
+        got := (asid, vpage, Tlb.unpack w) :: !got);
+    let want =
+      Hashtbl.fold (fun v e l -> (-1, v, e) :: l) ref_glob
+        (Hashtbl.fold (fun (a, v) e l -> (a, v, e) :: l) ref_local [])
+    in
+    Alcotest.(check bool) "iter_live_packed contents" true
+      (List.sort compare !got = List.sort compare want);
+    for asid = 0 to n_asids - 1 do
+      let want =
+        Hashtbl.fold (fun (a, _) _ b -> b || a = asid) ref_local false
+      in
+      Alcotest.(check bool) "holds_asid" want (Tlb.holds_asid tlb ~asid)
+    done;
+    List.iter
+      (fun count ->
+        for vpage = 0 to n_vpages - 1 do
+          let last = vpage + count - 1 in
+          let within v = v >= vpage && v <= last in
+          let want =
+            Hashtbl.fold (fun v _ b -> b || within v) ref_glob false
+            || Hashtbl.fold (fun (_, v) _ b -> b || within v) ref_local false
+          in
+          if Tlb.holds_span tlb ~vpage ~count <> want then
+            Alcotest.failf "holds_span vpage=%d count=%d" vpage count
+        done)
+      [ 1; 5 ];
+    Alcotest.(check bool) "insert log within capacity" false
+      (Tlb.insert_log_overflowed tlb);
+    Alcotest.(check (list (pair int int))) "insert-log keys"
+      (List.rev !logged)
+      (List.init (Tlb.logged_inserts tlb) (fun i ->
+           let k = Tlb.logged_key tlb i in
+           Alcotest.(check int) "key round trip" k
+             (Tlb.key ~asid:(Tlb.key_asid k) ~vpage:(Tlb.key_vpage k));
+           (Tlb.key_asid k, Tlb.key_vpage k)));
+    Tlb.clear_insert_log tlb;
+    logged := []
   in
   for op = 1 to ops do
     (match rand 16 with
@@ -212,6 +352,7 @@ let differential_soak ?epoch_limit ~seed ~ops () =
         let global = rand 8 = 0 in
         let e = entry ~writable:(rand 2 = 0) ~global (rand 10_000) in
         Tlb.insert tlb ~asid ~vpage e;
+        logged := ((if global then -1 else asid), vpage) :: !logged;
         if global then Hashtbl.replace ref_glob vpage e
         else Hashtbl.replace ref_local (asid, vpage) e
     | 6 | 7 | 8 | 9 | 10 ->
@@ -344,7 +485,7 @@ let test_restore_insert_log () =
   let dst = Tlb.create () in
   Tlb.restore ~src dst;
   let log t =
-    List.init (Tlb.logged_inserts t) (fun i -> (Tlb.logged_asid t i, Tlb.logged_vpage t i))
+    List.init (Tlb.logged_inserts t) (fun i -> let k = Tlb.logged_key t i in (Tlb.key_asid k, Tlb.key_vpage k))
   in
   Alcotest.(check (list (pair int int))) "armed log copied" [ (0, 5); (-1, 6) ] (log dst);
   Tlb.insert dst ~asid:1 ~vpage:8 (entry 80);
@@ -373,6 +514,13 @@ let suite =
     Alcotest.test_case "asid isolation" `Quick test_asid_isolation;
     Alcotest.test_case "globals visible in all asids" `Quick
       test_global_visible_in_all_asids;
+    Alcotest.test_case "global shadows a same-vpage asid entry" `Quick
+      test_global_shadows_asid_entry;
+    Alcotest.test_case "one key names a translation" `Quick test_one_key;
+    Alcotest.test_case "occupancy probes see live entries only" `Quick
+      test_probes_see_live_only;
+    Alcotest.test_case "asid key ranges stop at their neighbours" `Quick
+      test_asid_ranges_stop_at_neighbours;
     Alcotest.test_case "flush asid" `Quick test_flush_asid;
     Alcotest.test_case "full flush covers every asid" `Quick
       test_flush_all_covers_every_asid;

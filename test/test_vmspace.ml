@@ -308,6 +308,29 @@ let test_no_pcid_no_asids () =
   Alcotest.(check bool) "PCIDE stays clear" false
     (Cr.pcid_enabled k.Kernel.machine.Machine.cr)
 
+let test_create_unwinds_failed_copy () =
+  (* Every PTE write fails, so sharing the kernel half fails at once:
+     the new root must be cleared and retired, not leaked. *)
+  with_envs (fun name k env _ ->
+      let inj =
+        Nkinject.create ~sites:[ Nkinject.Pte_write_error ] ~seed:1 ~rate:1.0
+          ()
+      in
+      let env =
+        { env with Vmspace.backend = Mmu_backend.with_inject inj env.backend }
+      in
+      let free0 = Frame_alloc.free_count env.Vmspace.falloc in
+      (match Vmspace.create env ~kernel_root:k.Kernel.kernel_root with
+      | Ok _ -> Alcotest.failf "%s: create survived a failed copy" name
+      | Error _ -> ());
+      Alcotest.(check int) (name ^ ": root returned") free0
+        (Frame_alloc.free_count env.Vmspace.falloc);
+      match k.Kernel.nk with
+      | Some nk ->
+          Alcotest.(check bool) (name ^ ": invariants hold") true
+            (Nested_kernel.Api.audit_ok nk)
+      | None -> ())
+
 let suite =
   [
     Alcotest.test_case "map/populate/unmap" `Quick test_map_populate_unmap;
@@ -321,6 +344,8 @@ let suite =
       test_destroy_releases_frames;
     Alcotest.test_case "exec reset" `Quick test_exec_reset;
     Alcotest.test_case "grandchild COW chain" `Quick test_grandchild_cow_chain;
+    Alcotest.test_case "create unwinds a failed copy" `Quick
+      test_create_unwinds_failed_copy;
     Alcotest.test_case "exec-kind faults" `Quick test_exec_fault_kind;
     Alcotest.test_case "batched backend equivalence" `Quick
       test_batched_backend_equivalence;
